@@ -71,13 +71,14 @@ struct PipelineRun {
   core::BatchPipelineStats stats;  // summed over batches
 };
 
-PipelineRun stream_batches(bool double_buffer, std::uint32_t num_vertices,
+PipelineRun stream_batches(bool pipelined, std::uint32_t num_vertices,
                            const std::vector<std::vector<core::WeightedEdge>>&
                                batches) {
   core::GraphConfig cfg;
   cfg.vertex_capacity = num_vertices;
-  cfg.double_buffer = double_buffer;
-  if (double_buffer && !batches.empty()) {
+  // Single buffer: an epoch no batch reaches, so each runs as one epoch.
+  cfg.pipeline_epoch_edges = UINT32_MAX;
+  if (pipelined && !batches.empty()) {
     // Pin four epochs per batch so the quick grid pipelines too (auto mode
     // would run small batches as one epoch and measure nothing).
     cfg.pipeline_epoch_edges =

@@ -4,19 +4,18 @@
 // Three sections:
 //
 //   overlap   builds a graph once, then streams edges_exist / edge_weights
-//             batches through the engine at several pool widths, once with
-//             the double buffer off (stage-then-search) and once on
-//             (stage of query slice N+1 overlaps the bulk searches of
-//             slice N), reporting query throughput, the measured
-//             stage/search overlap window, and the fraction of staging
-//             hidden behind the searches. At >= 2 threads the overlap must
-//             be > 0; at 1 thread the pipeline degenerates and the two
-//             configurations should tie.
+//             batches through the engine at several pool widths, once as
+//             one epoch per batch (single buffer: stage-then-search) and
+//             once split into four (stage of query slice N+1 overlaps the
+//             bulk searches of slice N), reporting query throughput, the
+//             measured stage/search overlap window, and the fraction of
+//             staging hidden behind the searches. At >= 2 threads the
+//             overlap must be > 0; at 1 thread the pipeline degenerates
+//             and the two configurations should tie.
 //
-//   merge     streams the same insert batches through merge-free staging
-//             and the legacy copying merge, reporting throughput and the
-//             driver-copied bytes each assembly performed (merge-free must
-//             report 0).
+//   merge     streams insert batches through 4-shard merge-free staging
+//             (shards emit straight into presized global slices),
+//             reporting throughput.
 //
 //   rehash    streams a hub-skewed insert/query mix with the p99 auto-
 //             rehash policy on vs off, reporting trigger count, final mean
@@ -114,7 +113,6 @@ QueryRun stream_queries(const core::DynGraphMap& g,
     run.stats.stage_seconds += s.stage_seconds;
     run.stats.apply_seconds += s.apply_seconds;
     run.stats.overlap_seconds += s.overlap_seconds;
-    run.stats.merge_copy_bytes += s.merge_copy_bytes;
     total += batch.size();
   }
   run.mqueries_per_s =
@@ -141,15 +139,15 @@ void run_overlap(const bench::BenchContext& ctx,
   for (const unsigned t : threads) {
     simt::ThreadPool::instance().resize(t);
     for (const bool weighted : {false, true}) {
-      // Pin four query slices per batch so the quick grid pipelines too.
+      // Single buffer: an epoch no batch reaches, so each runs as one.
       core::GraphConfig cfg;
       cfg.vertex_capacity = num_vertices;
-      cfg.pipeline_epoch_edges =
-          static_cast<std::uint32_t>(batch_size / 4);
-      cfg.double_buffer = false;
+      cfg.pipeline_epoch_edges = UINT32_MAX;
       core::DynGraphMap single(cfg);
       single.insert_edges(edges);
-      cfg.double_buffer = true;
+      // Pin four query slices per batch so the quick grid pipelines too.
+      cfg.pipeline_epoch_edges =
+          static_cast<std::uint32_t>(batch_size / 4);
       core::DynGraphMap piped(cfg);
       piped.insert_edges(edges);
 
@@ -197,38 +195,30 @@ void run_merge(const bench::BenchContext& ctx, int vertices_exp,
     batches.push_back(
         random_edges(ctx.seed + b, batch_size, num_vertices));
   }
-  // Fixed shard count + epoch size: the copy volume being measured must
+  // Fixed shard count + epoch size: the staging shape being measured must
   // not depend on the ambient pool width.
-  util::Table table({"Staging", "MEdge/s", "Driver copy (KiB)"});
-  double merge_free_rate = 0.0;
-  for (const bool merge_free : {false, true}) {
-    core::GraphConfig cfg;
-    cfg.vertex_capacity = num_vertices;
-    cfg.stage_shards = 4;
-    cfg.pipeline_epoch_edges = static_cast<std::uint32_t>(batch_size / 4);
-    cfg.merge_free = merge_free;
-    core::DynGraphMap g(cfg);
-    std::uint64_t copied = 0;
-    std::uint64_t total = 0;
-    util::Timer timer;
-    for (const auto& batch : batches) {
-      g.insert_edges(batch);
-      copied += g.last_batch_stats().merge_copy_bytes;
-      total += batch.size();
-    }
-    const double rate = util::mitems_per_second(double(total), timer.seconds());
-    if (merge_free) merge_free_rate = rate;
-    table.add_row({merge_free ? "merge-free (two-pass)" : "copying merge",
-                   util::Table::fmt(rate),
-                   util::Table::fmt(double(copied) / 1024.0)});
+  util::Table table({"Staging", "MEdge/s"});
+  core::GraphConfig cfg;
+  cfg.vertex_capacity = num_vertices;
+  cfg.stage_shards = 4;
+  cfg.pipeline_epoch_edges = static_cast<std::uint32_t>(batch_size / 4);
+  core::DynGraphMap g(cfg);
+  std::uint64_t total = 0;
+  util::Timer timer;
+  for (const auto& batch : batches) {
+    g.insert_edges(batch);
+    total += batch.size();
   }
-  ctx.emit(table, "Merge-free staging vs copying merge: " +
+  const double merge_free_rate =
+      util::mitems_per_second(double(total), timer.seconds());
+  table.add_row({"merge-free (two-pass)", util::Table::fmt(merge_free_rate)});
+  ctx.emit(table, "Merge-free staging: " +
                       std::to_string(num_batches) + " batches of 2^" +
                       std::to_string(batch_exp) + " edges, 4 shards");
   ctx.record("merge_free_insert_rate", merge_free_rate, "MEdge/s",
              {{"batch", "2^" + std::to_string(batch_exp)}});
   bench::paper_shape_note(
-      "merge-free staging reports zero driver-copied bytes: shards emit "
+      "merge-free staging copies nothing on the driver: shards emit "
       "directly into presized global slices");
 }
 

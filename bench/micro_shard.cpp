@@ -1,9 +1,9 @@
 // micro_shard: throughput scaling of the multi-shard serving tier
 // (src/shard/sharded_graph.hpp) across shard counts.
 //
-// Two sections, both on the synchronous serving path (the differential
-// reference mode — no scheduler threads, so the series isolates the router
-// plus N independent engines from conductor effects):
+// Two sections, both on the synchronous serving path (no submit_* call, so
+// no shard conductor ever starts and the series isolates the router plus
+// N independent engines from conductor effects):
 //
 //   insert    streams random insert batches through ShardedGraph tiers of
 //             1/2/4/8 shards, same workload per point. 1 shard is the
@@ -68,7 +68,6 @@ shard::ShardConfig tier_config(std::uint32_t shards,
   shard::ShardConfig sc;
   sc.shard_count = shards;
   sc.graph.vertex_capacity = num_vertices;
-  sc.graph.phase_scheduler = false;  // sync path: no conductor threads
   return sc;
 }
 

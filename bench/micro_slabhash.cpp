@@ -1,6 +1,6 @@
 // Google-benchmark micro benchmarks for the SlabHash layer and the WCWS
-// ablation: map vs set ops across load factors, and Algorithm 1's
-// warp-grouped insertion vs naive per-item insertion into the same tables.
+// ablation: map vs set ops across load factors, and the batch engine's
+// grouped insertion vs naive per-item insertion into the same tables.
 //
 //   ./build/micro_slabhash --json=BENCH_slabhash.json
 #include <benchmark/benchmark.h>
@@ -102,27 +102,17 @@ std::vector<sg::core::WeightedEdge> insert_ablation_batch() {
   return batch;
 }
 
-void insert_bench_body(benchmark::State& state, bool batch_engine) {
+void BM_BatchEngineInsert(benchmark::State& state) {
   const auto batch = insert_ablation_batch();
   for (auto _ : state) {
     state.PauseTiming();
     sg::core::GraphConfig cfg;
     cfg.vertex_capacity = 4096;
-    cfg.batch_engine = batch_engine;
     sg::core::DynGraphMap graph(cfg);
     state.ResumeTiming();
     graph.insert_edges(batch);
   }
   state.SetItemsProcessed(state.iterations() * batch.size());
-}
-
-void BM_Alg1WarpGroupedInsert(benchmark::State& state) {
-  insert_bench_body(state, /*batch_engine=*/false);
-}
-BENCHMARK(BM_Alg1WarpGroupedInsert);
-
-void BM_BatchEngineInsert(benchmark::State& state) {
-  insert_bench_body(state, /*batch_engine=*/true);
 }
 BENCHMARK(BM_BatchEngineInsert);
 

@@ -76,9 +76,6 @@ int main(int argc, char** argv) {
   config.window_frac = 0.6;  // follows lapse unless refreshed: unfollow churn
   config.compact_every = 2;
   config.graph.undirected = true;
-  // Churn batches are exactly the staged batch engine's workload (default;
-  // spelled out because this example exists to demonstrate it).
-  config.graph.batch_engine = true;
   sg::stream::Harness harness(dataset, config);
   std::printf("social stream: %u seed members, %zu epochs of %zu follows\n",
               base_vertices, dataset.num_batches(), dataset.batch_size());

@@ -23,11 +23,17 @@ BlockHandle BlockManager::allocate(std::uint8_t size_class) {
     handle.index = *pool.free_blocks.begin();
     pool.free_blocks.erase(pool.free_blocks.begin());
   } else {
-    handle.index = pool.next_block++;
-    const std::size_t needed = static_cast<std::size_t>(pool.next_block)
-                               << size_class;
-    pool.dsts.resize(needed);
-    pool.weights.resize(needed);
+    handle.index = pool.next_block;
+    const std::size_t segment = locate(handle).first;
+    if (segment >= kMaxSegments) {
+      throw std::length_error("hornet: block pool exhausted");
+    }
+    ++pool.next_block;
+    if (!pool.dsts[segment]) {
+      const std::size_t elements = (std::size_t{1} << segment) << size_class;
+      pool.dsts[segment] = std::make_unique<core::VertexId[]>(elements);
+      pool.weights[segment] = std::make_unique<core::Weight[]>(elements);
+    }
     bytes_reserved_ += (sizeof(core::VertexId) + sizeof(core::Weight))
                        << size_class;
   }
@@ -42,24 +48,36 @@ void BlockManager::free(BlockHandle handle) {
   --in_use_;
 }
 
+std::pair<std::size_t, std::size_t> BlockManager::locate(
+    BlockHandle handle) noexcept {
+  const std::uint64_t slot = std::uint64_t{handle.index} + 1;
+  const std::size_t segment = std::bit_width(slot) - 1;
+  const std::size_t block = slot - (std::uint64_t{1} << segment);
+  return {segment, block << handle.size_class};
+}
+
 core::VertexId* BlockManager::dst(BlockHandle handle) noexcept {
-  return pools_[handle.size_class].dsts.data() +
-         (static_cast<std::size_t>(handle.index) << handle.size_class);
+  if (!handle.valid) return nullptr;
+  const auto [segment, offset] = locate(handle);
+  return pools_[handle.size_class].dsts[segment].get() + offset;
 }
 
 core::Weight* BlockManager::weight(BlockHandle handle) noexcept {
-  return pools_[handle.size_class].weights.data() +
-         (static_cast<std::size_t>(handle.index) << handle.size_class);
+  if (!handle.valid) return nullptr;
+  const auto [segment, offset] = locate(handle);
+  return pools_[handle.size_class].weights[segment].get() + offset;
 }
 
 const core::VertexId* BlockManager::dst(BlockHandle handle) const noexcept {
-  return pools_[handle.size_class].dsts.data() +
-         (static_cast<std::size_t>(handle.index) << handle.size_class);
+  if (!handle.valid) return nullptr;
+  const auto [segment, offset] = locate(handle);
+  return pools_[handle.size_class].dsts[segment].get() + offset;
 }
 
 const core::Weight* BlockManager::weight(BlockHandle handle) const noexcept {
-  return pools_[handle.size_class].weights.data() +
-         (static_cast<std::size_t>(handle.index) << handle.size_class);
+  if (!handle.valid) return nullptr;
+  const auto [segment, offset] = locate(handle);
+  return pools_[handle.size_class].weights[segment].get() + offset;
 }
 
 }  // namespace sg::baselines::hornet

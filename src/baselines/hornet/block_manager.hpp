@@ -8,11 +8,12 @@
 // hold destination + weight arrays (SoA, Hornet-style).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <vector>
+#include <utility>
 
 #include "src/core/types.hpp"
 
@@ -46,6 +47,8 @@ class BlockManager {
 
   void free(BlockHandle handle);
 
+  /// Block storage of `handle`; nullptr for an invalid handle (a vertex
+  /// with no block yet), so empty adjacency spans read no pool state.
   core::VertexId* dst(BlockHandle handle) noexcept;
   core::Weight* weight(BlockHandle handle) noexcept;
   const core::VertexId* dst(BlockHandle handle) const noexcept;
@@ -55,13 +58,20 @@ class BlockManager {
   std::uint64_t bytes_reserved() const noexcept { return bytes_reserved_; }
 
  private:
+  /// Pool storage is segmented: segment k holds 2^k blocks and, once
+  /// allocated, never moves. allocate() runs while other threads write
+  /// through dst()/weight() pointers (HornetGraph::insert_edges grows
+  /// vertices in parallel), so growing a pool must not relocate blocks.
+  static constexpr int kMaxSegments = 32;
   struct Pool {
-    // Block i of class c lives at storage[i << c .. (i+1) << c).
-    std::vector<core::VertexId> dsts;
-    std::vector<core::Weight> weights;
+    // Block i lives in segment bit_width(i + 1) - 1 (see locate()).
+    std::array<std::unique_ptr<core::VertexId[]>, kMaxSegments> dsts;
+    std::array<std::unique_ptr<core::Weight[]>, kMaxSegments> weights;
     std::uint32_t next_block = 0;
     std::set<std::uint32_t> free_blocks;  // the "B-Tree" of free blocks
   };
+  /// Segment of `handle`'s block and the element offset of the block in it.
+  static std::pair<std::size_t, std::size_t> locate(BlockHandle handle) noexcept;
 
   Pool pools_[kMaxClass + 1];
   mutable std::mutex mutex_;

@@ -82,16 +82,6 @@ void BatchStaging::group_emit(bool gather_values, bool gather_seqs,
          "two-pass invariant: emit must place exactly what prepare counted");
 }
 
-void BatchStaging::emit_self(bool gather_values, bool gather_seqs) {
-  keys.resize(grouped_keys_);
-  if (gather_values) values.resize(grouped_keys_);
-  if (gather_seqs) seqs.resize(grouped_keys_);
-  runs.resize(grouped_runs_);
-  run_offsets.resize(grouped_runs_ + 1);
-  group_emit(gather_values, gather_seqs, *this, 0, 0);
-  run_offsets[grouped_runs_] = grouped_keys_;
-}
-
 void BatchStaging::group(bool dedup, bool gather_values, bool gather_seqs) {
   // Fused single-pass grouping for stagings that need no cross-shard
   // assembly (the lone-shard pipeline path): sort, then cut + emit in one
@@ -183,21 +173,28 @@ void ShardedStaging::validate_partition() const {
   }
 }
 
-std::uint64_t ShardedStaging::finalize(bool merge_free, bool gather_values,
-                                       bool gather_seqs) {
+void ShardedStaging::finalize(bool gather_values, bool gather_seqs) {
 #ifndef NDEBUG
   validate_partition();
 #endif
-  copied_bytes = 0;
   const std::uint32_t num_shards = shard_count();
   if (num_shards <= 1) {
     // front() aliases the lone shard, which grouped through the fused
-    // single-pass group(): nothing to assemble, nothing was copied.
-    return 0;
+    // single-pass group(): nothing to assemble.
+    return;
   }
+  // Pass 2 of the two-pass (count, then place) scheme: prefix-sum the
+  // per-shard counts into disjoint slices and let every shard emit its own
+  // output directly into its slice — in parallel, with no driver copy.
+  // Slices are element-disjoint, so the concurrent writes need no
+  // synchronization; the pool's job fence publishes them to the reader.
+  std::vector<std::uint64_t> key_base(num_shards);
+  std::vector<std::uint64_t> run_base(num_shards);
   std::uint64_t total_keys = 0;
   std::uint64_t total_runs = 0;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
+    key_base[s] = total_keys;
+    run_base[s] = total_runs;
     total_keys += shards_[s].grouped_keys();
     total_runs += shards_[s].grouped_runs();
   }
@@ -207,73 +204,16 @@ std::uint64_t ShardedStaging::finalize(bool merge_free, bool gather_values,
   if (gather_seqs) merged_.seqs.resize(total_keys);
   merged_.runs.resize(total_runs);
   merged_.run_offsets.resize(total_runs + 1);
-
-  std::uint64_t driver_copied = 0;
-  if (merge_free) {
-    // Pass 2 of the two-pass (count, then place) scheme: prefix-sum the
-    // per-shard counts into disjoint slices and let every shard emit its
-    // own output directly into its slice — in parallel, with no driver
-    // copy. Slices are element-disjoint, so the concurrent writes need no
-    // synchronization; the pool's job fence publishes them to the reader.
-    std::vector<std::uint64_t> key_base(num_shards);
-    std::vector<std::uint64_t> run_base(num_shards);
-    std::uint64_t key_cursor = 0;
-    std::uint64_t run_cursor = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      key_base[s] = key_cursor;
-      run_base[s] = run_cursor;
-      key_cursor += shards_[s].grouped_keys();
-      run_cursor += shards_[s].grouped_runs();
-    }
-    simt::ThreadPool::instance().parallel_for(
-        num_shards, [&](std::uint64_t s) {
-          shards_[s].group_emit(gather_values, gather_seqs, merged_,
-                                key_base[s], run_base[s]);
-        });
-  } else {
-    // Legacy (PR 3) copying merge, kept as the differential reference:
-    // shards self-emit in parallel, then one thread concatenates.
-    simt::ThreadPool::instance().parallel_for(
-        num_shards, [&](std::uint64_t s) {
-          shards_[s].emit_self(gather_values, gather_seqs);
-        });
-    std::uint64_t key_cursor = 0;
-    std::uint64_t run_cursor = 0;
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const BatchStaging& st = shards_[s];
-      std::copy(st.keys.begin(), st.keys.end(),
-                merged_.keys.begin() + static_cast<std::ptrdiff_t>(key_cursor));
-      driver_copied += st.keys.size() * sizeof(std::uint32_t);
-      if (gather_values) {
-        std::copy(
-            st.values.begin(), st.values.end(),
-            merged_.values.begin() + static_cast<std::ptrdiff_t>(key_cursor));
-        driver_copied += st.values.size() * sizeof(std::uint32_t);
-      }
-      if (gather_seqs) {
-        std::copy(st.seqs.begin(), st.seqs.end(),
-                  merged_.seqs.begin() + static_cast<std::ptrdiff_t>(key_cursor));
-        driver_copied += st.seqs.size() * sizeof(std::uint32_t);
-      }
-      std::copy(st.runs.begin(), st.runs.end(),
-                merged_.runs.begin() + static_cast<std::ptrdiff_t>(run_cursor));
-      driver_copied += st.runs.size() * sizeof(QueryRun);
-      for (std::size_t r = 0; r < st.runs.size(); ++r) {
-        merged_.run_offsets[run_cursor + r] = key_cursor + st.run_offsets[r];
-      }
-      driver_copied += st.runs.size() * sizeof(std::uint64_t);
-      key_cursor += st.keys.size();
-      run_cursor += st.runs.size();
-    }
-  }
+  simt::ThreadPool::instance().parallel_for(num_shards, [&](std::uint64_t s) {
+    shards_[s].group_emit(gather_values, gather_seqs, merged_, key_base[s],
+                          run_base[s]);
+  });
   merged_.run_offsets[total_runs] = total_keys;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     merged_.staged += shards_[s].staged;
     merged_.dropped += shards_[s].dropped;
     merged_.duplicates += shards_[s].duplicates;
   }
-  copied_bytes = driver_copied;
-  return driver_copied;
 }
 
 }  // namespace sg::core

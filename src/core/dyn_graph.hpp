@@ -7,19 +7,19 @@
 //   DynGraphMap — SlabHash concurrent map (Bc = 15): per-edge values.
 //   DynGraphSet — SlabHash concurrent set (Bc = 30): destinations only.
 //
-// Batched mutations run as SIMT grid launches in the Warp Cooperative Work
-// Sharing style: insert_edges is Algorithm 1 verbatim (ballot work queue,
-// ffs election, shuffle broadcast, same-source grouping, popc success
-// counting); delete_vertices is Algorithm 2 (atomic work-queue counter, one
+// Batched edge mutations and queries run through the staged batch engine
+// (src/core/batch_engine.hpp), which implements Algorithm 1's semantics —
+// same-source grouping, most-recent-wins duplicates, exact per-vertex
+// counters — as sorted (vertex, bucket) runs applied by the bulk slab
+// operations; delete_vertices is Algorithm 2 (atomic work-queue counter, one
 // warp per vertex, slab-granular neighbour cleanup, dynamic-slab reclaim).
 //
 // The structure is phase-concurrent (§II-A): mutation batches and query
 // batches never overlap, but everything *within* a batch runs concurrently.
 // The synchronous API leaves that contract to the caller; the scheduled
 // API (submit_insert / submit_erase / submit_edges_exist /
-// submit_edge_weights, GraphConfig::phase_scheduler) enforces it through a
-// per-graph phase scheduler — see src/core/phase_scheduler.hpp and
-// docs/ARCHITECTURE.md.
+// submit_edge_weights) enforces it through a per-graph phase scheduler —
+// see src/core/phase_scheduler.hpp and docs/ARCHITECTURE.md.
 #pragma once
 
 #include <atomic>
@@ -254,10 +254,9 @@ class EdgeSlabIterator {
 /// The paper's slab-based dynamic graph (one SlabHash table per vertex),
 /// instantiated as DynGraphMap (per-edge weights) or DynGraphSet
 /// (destinations only). Batched mutations and queries run through the
-/// staged batch engine by default (GraphConfig::batch_engine); the
-/// phase-concurrent contract — mutation batches never overlap query
-/// batches — is the caller's responsibility on the synchronous API and is
-/// ENFORCED by the scheduled submit_* API.
+/// staged batch engine; the phase-concurrent contract — mutation batches
+/// never overlap query batches — is the caller's responsibility on the
+/// synchronous API and is ENFORCED by the scheduled submit_* API.
 template <class Policy>
 class DynGraph {
  public:
@@ -285,8 +284,9 @@ class DynGraph {
   void bulk_build(std::span<const WeightedEdge> edges);
 
   // ---- edge operations (§IV-C) ----------------------------------------
-  /// Algorithm 1. Duplicates within the batch and against the graph are
-  /// tolerated; self-loops are dropped; the most recent weight wins.
+  /// Algorithm 1's semantics, applied by the batch engine. Duplicates
+  /// within the batch and against the graph are tolerated; self-loops are
+  /// dropped; the most recent weight wins.
   /// Returns the number of *new* unique directed edges added.
   ///
   /// Failure (docs/ROBUSTNESS.md): if the arena runs dry mid-batch (chunk
@@ -319,8 +319,8 @@ class DynGraph {
   /// positive after vertex deletion (Algorithm 2's cleanup guarantee).
   bool edge_exists(VertexId u, VertexId v) const;
 
-  /// Batched edgeExist: out[i] = 1 iff queries[i] is present. Runs as a
-  /// warp launch (one query per lane).
+  /// Batched edgeExist: out[i] = 1 iff queries[i] is present. Runs through
+  /// the engine's pipelined bulk search.
   void edges_exist(std::span<const Edge> queries, std::uint8_t* out) const;
 
   /// Weight lookup; meaningful for the map variant only (set returns 0).
@@ -348,10 +348,9 @@ class DynGraph {
   /// Duplicate inputs are fine (each occurrence gets its own slice).
   ///
   /// Observed chain depths fold into ChainFeedback (inform-only, like
-  /// query phases — gathers NEVER fire the auto-rehash policy; disable
-  /// with GraphConfig::gather_feedback = false). Phase-concurrent with
-  /// queries and other gathers; must not overlap mutations (use
-  /// submit_analytics for the enforced contract).
+  /// query phases — gathers NEVER fire the auto-rehash policy).
+  /// Phase-concurrent with queries and other gathers; must not overlap
+  /// mutations (use submit_analytics for the enforced contract).
   void gather_neighbors(std::span<const VertexId> vertices,
                         std::vector<std::uint64_t>& offsets,
                         std::vector<VertexId>& neighbors) const;
@@ -363,11 +362,10 @@ class DynGraph {
   // The async entry points: safe to call from ANY thread, concurrently
   // with each other. Submissions are classified by kind and run as fenced
   // phases — mutation batches never overlap query batches, which the
-  // synchronous API above leaves to the caller. With
-  // GraphConfig::phase_scheduler = false they degrade to synchronous
-  // inline execution returning ready futures (the differential reference;
-  // no cross-thread safety). FIFO: one thread's submissions apply in its
-  // program order, and a query submitted after a mutation's future
+  // synchronous API above leaves to the caller. The conductor thread
+  // starts lazily on the first submit_* call, so graphs that only use the
+  // synchronous API never pay for it. FIFO: one thread's submissions apply
+  // in its program order, and a query submitted after a mutation's future
   // resolved is guaranteed to observe that mutation.
   //
   // Admission control (docs/ROBUSTNESS.md): with
@@ -398,8 +396,7 @@ class DynGraph {
   /// \param deadline_ms staleness bound (0 = none): if the phase that
   ///        would run the query opens later than deadline_ms after
   ///        submission, the conductor rejects it at admission and the
-  ///        future resolves to SubmitRejected{kDeadlineExpired}. Ignored
-  ///        in inline mode (the query runs immediately).
+  ///        future resolves to SubmitRejected{kDeadlineExpired}.
   /// \return future resolving to out[i] = 1 iff queries[i] was present in
   ///         the phase-consistent state the query phase ran against. Query
   ///         batches admitted into one phase run concurrently, each
@@ -429,8 +426,8 @@ class DynGraph {
   /// Blocks until every submission accepted so far has completed and no
   /// phase is open. Call before destroying submitter state the futures
   /// reference, or before ThreadPool::resize (which must not run while
-  /// jobs are in flight). A graph with no scheduler (never submitted, or
-  /// phase_scheduler = false) returns immediately.
+  /// jobs are in flight). A graph that never submitted returns
+  /// immediately.
   void schedule_drain();
 
   /// Counters of the scheduled stream: phase switches (each one paid a
@@ -444,9 +441,7 @@ class DynGraph {
   /// concurrent submitters — every mutation whose future resolved before
   /// this call is in the file, and no mutation submitted after it leaks
   /// in. The future resolves when the file is durably renamed into place,
-  /// or carries the write's exception (persist::IoError). Inline mode
-  /// (phase_scheduler = false) writes synchronously — the phase-concurrent
-  /// contract is then the caller's, exactly as for gather_neighbors.
+  /// or carries the write's exception (persist::IoError).
   std::future<void> submit_snapshot(std::string path);
 
   /// Attaches the write-ahead batch journal at `path` (normally done by
@@ -455,8 +450,8 @@ class DynGraph {
   /// (journal_truncated_on_attach() reports how much), mid-file corruption
   /// throws persist::CorruptJournal, and the sequence continues after
   /// max(file's last record, this graph's cursor) — recovery replays
-  /// first, then attaches. Requires batch_engine; throws std::logic_error
-  /// if a journal is already attached.
+  /// first, then attaches. Throws std::logic_error if a journal is already
+  /// attached.
   void attach_journal(const std::string& path);
   bool has_journal() const noexcept { return journal_ != nullptr; }
 
@@ -559,8 +554,7 @@ class DynGraph {
   /// coalesced with neighboring insert/erase submissions. FIFO with the
   /// submitter's other submissions: inserts submitted before it are aged
   /// against, analytics submitted after it observe the retired state. The
-  /// future resolves to the directed edges removed. Inline mode
-  /// (phase_scheduler = false) executes synchronously.
+  /// future resolves to the directed edges removed.
   std::future<std::uint64_t> submit_age_out(Weight threshold)
       requires Policy::kHasValues;
 
@@ -577,10 +571,7 @@ class DynGraph {
   /// conductors without ever occupying a ThreadPool worker, so N parked
   /// fences cannot starve the pool that must finish the phases in front
   /// of them. The future resolves to the task's count, or carries its
-  /// exception. Inline mode (phase_scheduler = false) executes the task
-  /// synchronously on the calling thread — callers that block on
-  /// cross-graph state must not use it there (ShardedGraph bypasses the
-  /// fence entirely in inline mode).
+  /// exception.
   std::future<std::uint64_t> submit_maintenance(
       std::function<std::uint64_t()> task);
 
@@ -593,14 +584,13 @@ class DynGraph {
   /// operations). Old base slabs are abandoned (bulk slabs are never
   /// reclaimed, matching §IV-D2); overflow slabs are freed.
   ///
-  /// With the batch engine on, the scan is TARGETED: apply observes every
-  /// run's chain length for free (ChainFeedback), and only vertices seen
-  /// past their base slab are revisited — a chain cannot grow without a
-  /// bulk operation walking it. Falls back to the full sweep when
-  /// `full_scan` is set, when the engine is off (scalar inserts report no
-  /// feedback), or when `max_chain_slabs < 1` (sub-slab thresholds can
-  /// flag tables that never chained). last_rehash_stats() reports which
-  /// path ran and how many tables it examined.
+  /// The scan is TARGETED: apply observes every run's chain length for
+  /// free (ChainFeedback), and only vertices seen past their base slab are
+  /// revisited — a chain cannot grow without a bulk operation walking it.
+  /// Falls back to the full sweep when `full_scan` is set or when
+  /// `max_chain_slabs < 1` (sub-slab thresholds can flag tables that never
+  /// chained). last_rehash_stats() reports which path ran and how many
+  /// tables it examined.
   std::uint32_t rehash_long_chains(double max_chain_slabs = 1.0,
                                    bool full_scan = false);
 
@@ -618,8 +608,7 @@ class DynGraph {
   const ChainFeedback& chain_feedback() const { return feedback_; }
 
   /// Stage/apply wall-clock profile of the last batched mutation,
-  /// including the overlap the double buffer achieved and the bytes the
-  /// driver copied to assemble shard output (0 under merge-free staging).
+  /// including the overlap the double buffer achieved.
   const BatchPipelineStats& last_batch_stats() const {
     return pipeline_stats_;
   }
@@ -657,25 +646,14 @@ class DynGraph {
   void prepare_batch(std::span<const WeightedEdge> edges);
   void ensure_vertex(VertexId u, std::uint32_t degree_hint);
 
-  /// Table lookup on the insert path; creates a single-bucket table on
-  /// first use ("if the connectivity information for a vertex is not
-  /// available, we construct a hash table with a single bucket") and
-  /// revives deleted sources. Safe under concurrent warps.
-  slabhash::TableRef acquire_table(VertexId u);
-
-  // Scalar Algorithm-1 oracle (src/core/scalar_oracle.hpp): retained as the
-  // differential reference for engine-off configs and tests; undirected
-  // batches mirror in place (no temp vector), never on the engine path.
-  std::uint64_t insert_directed(std::span<const WeightedEdge> edges);
-  std::uint64_t delete_directed(std::span<const Edge> edges);
-
-  // Batch-engine paths (selected by SlabGraphConfig::batch_engine): stage
-  // sharded, group into per-(vertex, bucket) runs, apply through the bulk
-  // slab ops — with large batches split into double-buffered epochs whose
-  // staging overlaps the previous epoch's apply.
+  // Batch-engine paths: stage sharded, group into per-(vertex, bucket)
+  // runs, apply through the bulk slab ops — with large batches split into
+  // double-buffered epochs whose staging overlaps the previous epoch's
+  // apply. First-touch tables are created during staging ("if the
+  // connectivity information for a vertex is not available, we construct
+  // a hash table with a single bucket").
   std::uint64_t insert_batched(std::span<const WeightedEdge> edges);
   std::uint64_t delete_batched(std::span<const Edge> edges);
-  void exist_batched(std::span<const Edge> queries, std::uint8_t* out) const;
   /// Shared batched-search driver (edges_exist / edge_weights): the query
   /// batch splits into double-buffered epochs — stage+group of slice N+1
   /// runs as a background pool job while the bulk searches of slice N run
@@ -766,7 +744,6 @@ class DynGraph {
   GraphConfig config_;
   mutable memory::SlabArena arena_;
   VertexDictionary dict_;
-  std::mutex lazy_table_mutex_;  ///< serializes first-touch table creation
   /// Double-buffered staging areas of the batch engine. Mutation batches
   /// are phases (the phase-concurrent model forbids overlapping them), so
   /// two buffers — the applying epoch and the staging epoch — serve every
@@ -797,7 +774,7 @@ class DynGraph {
   /// Restore sets it to the snapshot's cut, replay advances it, and every
   /// append keeps it equal to the journal's last durable record.
   std::atomic<std::uint64_t> journal_seq_{0};
-  /// Scheduled mode (GraphConfig::phase_scheduler): created on the first
+  /// Scheduled mode: created on the first
   /// submit_* call under scheduler_once_ and published through the atomic
   /// pointer (schedule_drain / last_schedule_stats read it without racing
   /// the creation). LAST members on purpose — destroyed FIRST, so the

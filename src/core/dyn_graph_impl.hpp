@@ -15,7 +15,6 @@
 #include "src/core/batch_utils.hpp"
 #include "src/core/dyn_graph.hpp"
 #include "src/core/errors.hpp"
-#include "src/core/scalar_oracle.hpp"
 #include "src/persist/journal.hpp"
 #include "src/persist/snapshot.hpp"
 #include "src/simt/atomics.hpp"
@@ -104,11 +103,6 @@ DynGraph<Policy>::~DynGraph() {
 
 template <class Policy>
 void DynGraph<Policy>::attach_journal(const std::string& path) {
-  if (!config_.batch_engine) {
-    throw std::invalid_argument(
-        "journal_path requires batch_engine: the scalar oracle path does "
-        "not journal");
-  }
   if (journal_) {
     throw std::logic_error("a journal is already attached to this graph");
   }
@@ -182,18 +176,6 @@ void DynGraph<Policy>::journal_erase_committed(
 
 template <class Policy>
 std::future<void> DynGraph<Policy>::submit_snapshot(std::string path) {
-  if (!config_.phase_scheduler) {
-    // Inline reference mode: write synchronously (same future surface).
-    std::promise<void> done;
-    std::future<void> f = done.get_future();
-    try {
-      persist::snapshot(*this, path);
-      done.set_value();
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-    return f;
-  }
   return ensure_scheduler().submit_snapshot(
       [this, path = std::move(path)] { persist::snapshot(*this, path); });
 }
@@ -228,26 +210,6 @@ void DynGraph<Policy>::prepare_batch(std::span<const WeightedEdge> edges) {
     throw std::invalid_argument("edge batch contains an out-of-range vertex id");
   }
   if (max_id >= dict_.capacity()) dict_.grow(max_id + 1);
-}
-
-template <class Policy>
-slabhash::TableRef DynGraph<Policy>::acquire_table(VertexId u) {
-  slabhash::TableRef table = dict_.table_acquire(u);
-  if (table.valid()) {
-    if (dict_.deleted(u)) dict_.set_deleted(u, false);  // source revival
-    return table;
-  }
-  std::lock_guard<std::mutex> lock(lazy_table_mutex_);
-  table = dict_.table_acquire(u);
-  if (!table.valid()) {
-    const memory::SlabHandle base =
-        arena_.allocate_contiguous(1, slabhash::kEmptyKey);
-    table = {base, 1};
-    dict_.publish_table(u, table);
-    dict_.set_edge_count(u, 0);
-  }
-  dict_.set_deleted(u, false);
-  return table;
 }
 
 template <class Policy>
@@ -310,25 +272,7 @@ void DynGraph<Policy>::bulk_build(std::span<const WeightedEdge> edges) {
     }
     advance_journal_seq(journal_->append_insert_vertices(ref_ids, hints));
   }
-  if (config_.batch_engine) {
-    insert_batched(edges);  // stages the mirror direction in place
-    return;
-  }
-  insert_directed(edges);  // oracle path: mirrors in place too
-}
-
-// --------------------------------------------------------------------------
-// Algorithm 1: warp-cooperative batched edge insertion. The scalar body
-// lives in src/core/scalar_oracle.hpp (test-only differential reference;
-// the batch engine is the production path).
-// --------------------------------------------------------------------------
-
-template <class Policy>
-std::uint64_t DynGraph<Policy>::insert_directed(
-    std::span<const WeightedEdge> edges) {
-  return oracle::insert_directed<Policy>(
-      arena_, dict_, edges, config_.undirected, config_.hash_seed,
-      [this](VertexId u) { return acquire_table(u); });
+  insert_batched(edges);  // stages the mirror direction in place
 }
 
 template <class Policy>
@@ -336,8 +280,7 @@ std::uint64_t DynGraph<Policy>::insert_edges(std::span<const WeightedEdge> edges
   if (edges.empty()) return 0;
   ensure_journal_usable();
   prepare_batch(edges);
-  if (config_.batch_engine) return insert_batched(edges);
-  return insert_directed(edges);
+  return insert_batched(edges);
 }
 
 // --------------------------------------------------------------------------
@@ -442,11 +385,10 @@ std::uint64_t DynGraph<Policy>::run_epoch_pipeline(
   bool split;
   if (config_.pipeline_epoch_edges != 0) {
     epoch_items = config_.pipeline_epoch_edges;
-    split = config_.double_buffer && num_items > epoch_items;
+    split = num_items > epoch_items;
   } else {
     epoch_items = std::uint64_t{1} << 15;
-    split = config_.double_buffer && pool.size() > 0 &&
-            num_items > epoch_items + epoch_items / 2;
+    split = pool.size() > 0 && num_items > epoch_items + epoch_items / 2;
   }
   if (!split) epoch_items = num_items;
   const std::uint64_t num_epochs = (num_items + epoch_items - 1) / epoch_items;
@@ -473,7 +415,6 @@ std::uint64_t DynGraph<Policy>::run_epoch_pipeline(
                 shards);
     stats.stage_seconds +=
         static_cast<double>(pipeline_now_ns() - t0) * 1e-9;
-    stats.merge_copy_bytes += cur->copied_bytes;
   }
 
   std::uint64_t total = 0;
@@ -534,7 +475,6 @@ std::uint64_t DynGraph<Policy>::run_epoch_pipeline(
           stats.overlap_seconds += static_cast<double>(hi - lo) * 1e-9;
         }
       }
-      stats.merge_copy_bytes += nxt->copied_bytes;
       std::swap(cur, nxt);
     }
   }
@@ -550,8 +490,8 @@ std::uint64_t DynGraph<Policy>::run_mutation_pipeline(
   // One epoch's full staging pass: stage + group every shard of the
   // epoch's input sub-span in parallel (two-pass count/place when sharded,
   // fused single-pass otherwise), then finalize the shard outputs into
-  // the one run list apply consumes — merge-free by default, so NO work
-  // is left for the fence bubble.
+  // the one run list apply consumes — merge-free, so NO work is left for
+  // the fence bubble.
   const auto stage_epoch = [&, gather_values](ShardedStaging* buf,
                                               std::uint64_t begin,
                                               std::uint64_t end,
@@ -571,7 +511,7 @@ std::uint64_t DynGraph<Policy>::run_mutation_pipeline(
         st.group_prepare(/*dedup=*/true);
       }
     });
-    buf->finalize(config_.merge_free, gather_values, /*gather_seqs=*/false);
+    buf->finalize(gather_values, /*gather_seqs=*/false);
     buf->window_note(t0, pipeline_now_ns());
   };
   return run_epoch_pipeline(
@@ -695,7 +635,7 @@ std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
 template <class Policy>
 void DynGraph<Policy>::maybe_auto_rehash() {
   const double threshold = config_.auto_rehash_p99_slabs;
-  if (threshold <= 0.0 || !config_.batch_engine) return;
+  if (threshold <= 0.0) return;
   if (feedback_.runs_observed == 0) return;
   // hist bin b counts chains of b + 2 slabs (last bin saturating): chains
   // below 2 slabs are never histogrammed, so thresholds clamp to 2, and
@@ -976,8 +916,7 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
         st.group_prepare(/*dedup=*/false);
       }
     });
-    buf->finalize(config_.merge_free, /*gather_values=*/false,
-                  /*gather_seqs=*/true);
+    buf->finalize(/*gather_values=*/false, /*gather_seqs=*/true);
     buf->window_note(t0, pipeline_now_ns());
   };
 
@@ -993,12 +932,6 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
     std::lock_guard<std::mutex> lock(query_stats_mutex_);
     query_stats_ = stats;
   }
-}
-
-template <class Policy>
-void DynGraph<Policy>::exist_batched(std::span<const Edge> queries,
-                                     std::uint8_t* out) const {
-  search_batched(queries, out, /*weights_out=*/nullptr);
 }
 
 // --------------------------------------------------------------------------
@@ -1051,10 +984,8 @@ void DynGraph<Policy>::gather_neighbors(std::span<const VertexId> vertices,
           if (chain_slabs > 1) chunk_feedback.note_long(u, chain_slabs);
         });
     chunk_feedback.runs_observed += last - first;
-    if (config_.gather_feedback) {
-      std::lock_guard<std::mutex> lock(feedback_mutex_);
-      feedback_.merge_from(chunk_feedback);
-    }
+    std::lock_guard<std::mutex> lock(feedback_mutex_);
+    feedback_.merge_from(chunk_feedback);
   });
 }
 
@@ -1074,22 +1005,6 @@ GatherResult DynGraph<Policy>::gather_neighbors(
 // armed for direct synchronous calls and is uncontended under the
 // scheduler.
 // --------------------------------------------------------------------------
-
-/// Ready-future wrapper of the inline reference mode (phase_scheduler =
-/// false): runs `op` synchronously on the calling thread, capturing its
-/// result or exception — the same future surface as scheduled mode, with
-/// none of its cross-thread phase safety.
-template <typename T, typename Fn>
-std::future<T> inline_submit(Fn&& op) {
-  std::promise<T> done;
-  std::future<T> f = done.get_future();
-  try {
-    done.set_value(op());
-  } catch (...) {
-    done.set_exception(std::current_exception());
-  }
-  return f;
-}
 
 template <class Policy>
 PhaseScheduler& DynGraph<Policy>::ensure_scheduler() {
@@ -1123,32 +1038,18 @@ PhaseScheduler& DynGraph<Policy>::ensure_scheduler() {
 template <class Policy>
 std::future<std::uint64_t> DynGraph<Policy>::submit_insert(
     std::vector<WeightedEdge> edges) {
-  if (!config_.phase_scheduler) {
-    return inline_submit<std::uint64_t>([&] { return insert_edges(edges); });
-  }
   return ensure_scheduler().submit_insert(std::move(edges));
 }
 
 template <class Policy>
 std::future<std::uint64_t> DynGraph<Policy>::submit_erase(
     std::vector<Edge> edges) {
-  if (!config_.phase_scheduler) {
-    return inline_submit<std::uint64_t>([&] { return delete_edges(edges); });
-  }
   return ensure_scheduler().submit_erase(std::move(edges));
 }
 
 template <class Policy>
 std::future<std::vector<std::uint8_t>> DynGraph<Policy>::submit_edges_exist(
     std::vector<Edge> queries, std::uint32_t deadline_ms) {
-  if (!config_.phase_scheduler) {
-    // Inline mode runs the query immediately: a deadline cannot expire.
-    return inline_submit<std::vector<std::uint8_t>>([&] {
-      std::vector<std::uint8_t> out(queries.size(), 0);
-      edges_exist(queries, out.data());
-      return out;
-    });
-  }
   return ensure_scheduler().submit_edges_exist(std::move(queries),
                                                deadline_ms);
 }
@@ -1157,15 +1058,6 @@ template <class Policy>
 std::future<EdgeWeightBatch> DynGraph<Policy>::submit_edge_weights(
     std::vector<Edge> queries, std::uint32_t deadline_ms)
     requires Policy::kHasValues {
-  if (!config_.phase_scheduler) {
-    return inline_submit<EdgeWeightBatch>([&] {
-      EdgeWeightBatch result;
-      result.weights.assign(queries.size(), Weight{0});
-      result.found.assign(queries.size(), 0);
-      edge_weights(queries, result.weights.data(), result.found.data());
-      return result;
-    });
-  }
   return ensure_scheduler().submit_edge_weights(std::move(queries),
                                                 deadline_ms);
 }
@@ -1173,19 +1065,6 @@ std::future<EdgeWeightBatch> DynGraph<Policy>::submit_edge_weights(
 template <class Policy>
 std::future<void> DynGraph<Policy>::submit_analytics(
     std::function<void()> task) {
-  if (!config_.phase_scheduler) {
-    // Inline reference mode: run the task synchronously (inline_submit<T>
-    // cannot carry void through set_value).
-    std::promise<void> done;
-    std::future<void> f = done.get_future();
-    try {
-      task();
-      done.set_value();
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-    return f;
-  }
   return ensure_scheduler().submit_analytics(std::move(task));
 }
 
@@ -1204,25 +1083,12 @@ PhaseScheduleStats DynGraph<Policy>::last_schedule_stats() const {
   return {};
 }
 
-// --------------------------------------------------------------------------
-// Batched edge deletion (§IV-C2): Algorithm 1 with delete instead of
-// replace; the returned boolean decrements the exact edge counters. Scalar
-// body in src/core/scalar_oracle.hpp (test-only differential reference).
-// --------------------------------------------------------------------------
-
-template <class Policy>
-std::uint64_t DynGraph<Policy>::delete_directed(std::span<const Edge> edges) {
-  return oracle::delete_directed<Policy>(arena_, dict_, edges,
-                                         config_.undirected, config_.hash_seed);
-}
-
 template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_edges(std::span<const Edge> edges) {
   if (edges.empty()) return 0;
   ensure_journal_usable();
   validate_batch(edges);
-  if (config_.batch_engine) return delete_batched(edges);
-  return delete_directed(edges);
+  return delete_batched(edges);
 }
 
 // --------------------------------------------------------------------------
@@ -1359,17 +1225,7 @@ template <class Policy>
 void DynGraph<Policy>::edges_exist(std::span<const Edge> queries,
                                    std::uint8_t* out) const {
   if (queries.empty()) return;
-  if (config_.batch_engine) {
-    exist_batched(queries, out);  // batched map_search through the engine
-    return;
-  }
-  simt::launch(queries.size(), [&](const simt::WarpId& warp) {
-    for (int lane = 0; lane < simt::kWarpSize; ++lane) {
-      if (!warp.lane_active(lane)) continue;
-      const std::uint64_t i = warp.item(lane);
-      out[i] = edge_exists(queries[i].src, queries[i].dst) ? 1 : 0;
-    }
-  });
+  search_batched(queries, out, /*weights_out=*/nullptr);
 }
 
 template <class Policy>
@@ -1384,21 +1240,7 @@ void DynGraph<Policy>::edge_weights(std::span<const Edge> queries,
                                     Weight* weights, std::uint8_t* found) const
     requires Policy::kHasValues {
   if (queries.empty()) return;
-  if (config_.batch_engine) {
-    search_batched(queries, found, weights);
-    return;
-  }
-  // Scalar fallback (the differential oracle): one point lookup per lane.
-  simt::launch(queries.size(), [&](const simt::WarpId& warp) {
-    for (int lane = 0; lane < simt::kWarpSize; ++lane) {
-      if (!warp.lane_active(lane)) continue;
-      const std::uint64_t i = warp.item(lane);
-      const slabhash::MapFindResult r =
-          edge_weight(queries[i].src, queries[i].dst);
-      weights[i] = r.found ? r.value : Weight{0};
-      if (found != nullptr) found[i] = r.found ? 1 : 0;
-    }
-  });
+  search_batched(queries, found, weights);
 }
 
 template <class Policy>
@@ -1563,20 +1405,12 @@ typename DynGraph<Policy>::CompactStats DynGraph<Policy>::compact() {
 template <class Policy>
 std::future<std::uint64_t> DynGraph<Policy>::submit_age_out(Weight threshold)
     requires Policy::kHasValues {
-  if (!config_.phase_scheduler) {
-    return inline_submit<std::uint64_t>(
-        [&] { return delete_edges_older_than(threshold); });
-  }
   return ensure_scheduler().submit_maintenance(
       [this, threshold] { return delete_edges_older_than(threshold); });
 }
 
 template <class Policy>
 std::future<std::uint64_t> DynGraph<Policy>::submit_compact() {
-  if (!config_.phase_scheduler) {
-    return inline_submit<std::uint64_t>(
-        [&] { return std::uint64_t{compact().released_chunks}; });
-  }
   return ensure_scheduler().submit_maintenance(
       [this] { return std::uint64_t{compact().released_chunks}; });
 }
@@ -1584,9 +1418,6 @@ std::future<std::uint64_t> DynGraph<Policy>::submit_compact() {
 template <class Policy>
 std::future<std::uint64_t> DynGraph<Policy>::submit_maintenance(
     std::function<std::uint64_t()> task) {
-  if (!config_.phase_scheduler) {
-    return inline_submit<std::uint64_t>([&] { return task(); });
-  }
   return ensure_scheduler().submit_maintenance(std::move(task));
 }
 
@@ -1637,12 +1468,11 @@ std::uint32_t DynGraph<Policy>::rehash_long_chains(double max_chain_slabs,
   // The targeted path is complete for thresholds >= 1 slab: an offender
   // has more live keys than base capacity, so some bulk insert extended
   // (and therefore observed) a chain past the base slab and recorded the
-  // vertex. Sub-slab thresholds can flag tables that never chained,
-  // scalar-path inserts (engine off) report no feedback, and a saturated
-  // candidate list has dropped observations — all fall back to the full
-  // sweep (which resets the feedback).
-  const bool targeted = !full_scan && config_.batch_engine &&
-                        max_chain_slabs >= 1.0 && !feedback_.saturated;
+  // vertex. Sub-slab thresholds can flag tables that never chained, and a
+  // saturated candidate list has dropped observations — both fall back to
+  // the full sweep (which resets the feedback).
+  const bool targeted =
+      !full_scan && max_chain_slabs >= 1.0 && !feedback_.saturated;
   last_rehash_stats_.targeted = targeted;
   std::uint32_t rehashed = 0;
   if (targeted) {

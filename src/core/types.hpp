@@ -81,13 +81,6 @@ struct GraphConfig {
   /// anything randomized inside the structure. Fixed => reproducible runs.
   std::uint64_t hash_seed = 0x5EEDF00DULL;
 
-  /// Route batched mutations and queries through the staged batch engine
-  /// (stage -> group into per-(vertex, bucket) runs -> bulk slab operations
-  /// with software pipelining; src/core/batch_engine.hpp). `false` keeps
-  /// the scalar Algorithm-1 warp path, retained as the differential-test
-  /// oracle and for latency-sensitive tiny batches.
-  bool batch_engine = true;
-
   /// Shards of the batch engine's stage phase. Shard s owns every vertex u
   /// with u % shards == s, so staging, table creation, and the grouped
   /// (vertex, bucket) runs stay disjoint per shard and the stage pass runs
@@ -95,27 +88,17 @@ struct GraphConfig {
   /// rounded to a power of two, capped); 1 = the serial PR 2 stage.
   std::uint32_t stage_shards = 0;
 
-  /// Double-buffer the batch engine: large batches split into epochs, and
-  /// epoch e+1 stages + groups on spare pool threads while epoch e applies
-  /// (producer/consumer through simt::ThreadPool::submit). Epochs APPLY in
-  /// input order — the pipeline fence — so cross-epoch duplicates resolve
-  /// exactly as the unsplit batch would (most recent wins). `false` keeps
-  /// the single-buffer stage-then-apply engine.
-  bool double_buffer = true;
-
-  /// Input edges per pipelined epoch. 0 = auto (2^15). Batches smaller
-  /// than ~1.5 epochs, and any batch on a pool with no workers, run as one
-  /// epoch (the degenerate pipeline). Query batches (edges_exist /
-  /// edge_weights) pipeline through the same epoch plan.
+  /// Input edges per pipelined epoch. Large batches split into epochs,
+  /// and epoch e+1 stages + groups on spare pool threads while epoch e
+  /// applies (the double buffer). Epochs APPLY in input order — the
+  /// pipeline fence — so cross-epoch duplicates resolve exactly as the
+  /// unsplit batch would (most recent wins). 0 = auto (2^15): batches
+  /// smaller than ~1.5 epochs, and any batch on a pool with no workers,
+  /// run as one epoch (the degenerate pipeline). An explicit value always
+  /// splits; a value at or above the batch size runs it as one epoch.
+  /// Query batches (edges_exist / edge_weights) pipeline through the same
+  /// epoch plan.
   std::uint32_t pipeline_epoch_edges = 0;
-
-  /// Merge-free staging: shards count their grouped runs/keys, the counts
-  /// prefix-sum into disjoint slices of one presized global run list, and
-  /// shards emit directly into their slices in parallel — the apply stage
-  /// consumes shard output with zero driver-side copy
-  /// (BatchPipelineStats::merge_copy_bytes == 0). `false` restores the
-  /// PR 3 concatenating merge, kept as the differential reference.
-  bool merge_free = true;
 
   /// Automatic rehash policy (§III "periodically perform rehashing"): after
   /// every batched mutation the engine inspects the live chain histogram
@@ -138,29 +121,6 @@ struct GraphConfig {
   /// ones tolerate a fatter tail before paying a rebuild. Must be in
   /// (0, 1]; use auto_rehash_p99_slabs = 0 to disable the policy.
   double auto_rehash_tail_frac = 0.01;
-
-  /// Fold chain depths observed by analytics bulk gathers
-  /// (gather_neighbors and everything built on it: bulk BFS/CC/TC, the
-  /// incremental TC delta pass) into ChainFeedback. Inform-only, exactly
-  /// like query phases: gathers enrich the histogram targeted rehashing
-  /// consumes but NEVER fire the auto-rehash policy themselves — only
-  /// mutation batches may trigger a rebuild. `false` keeps analytics
-  /// entirely off the feedback path.
-  bool gather_feedback = true;
-
-  /// Scheduled mode (src/core/phase_scheduler.hpp): the async submit_*
-  /// entry points (submit_insert / submit_erase / submit_edges_exist /
-  /// submit_edge_weights) route through a per-graph phase scheduler that
-  /// fences mutation phases from query phases, coalesces small same-kind
-  /// submissions into shared engine batches, and runs concurrent query
-  /// batches as parallel pool jobs — making the phase-concurrent contract
-  /// enforceable when batches arrive from many threads. The conductor
-  /// thread starts lazily on the first submit_* call, so graphs that only
-  /// use the synchronous API never pay for it. `false` degrades submit_*
-  /// to synchronous inline execution (the differential reference; no
-  /// cross-thread phase safety). Synchronous calls (insert_edges,
-  /// edges_exist, ...) bypass the scheduler either way.
-  bool phase_scheduler = true;
 
   /// Cap on queued (not-yet-admitted) submissions in the phase scheduler.
   /// 0 = unbounded (the pre-admission-control behavior). When the cap is
@@ -225,7 +185,7 @@ struct GraphConfig {
   /// (before a submit_* future resolves); PartialBatchError aborts journal
   /// their exact committed prefix. An existing file is scanned on attach:
   /// a torn tail is truncated to the last valid record, mid-file
-  /// corruption throws persist::CorruptJournal. Requires batch_engine.
+  /// corruption throws persist::CorruptJournal.
   /// Empty (default) = no journal. Recovery: persist::recover().
   std::string journal_path;
 

@@ -52,12 +52,6 @@ class VertexDictionary {
     simt::racy_store(entries_[u].table_base, ref.base);
   }
 
-  /// Racy-read-safe variants for lazy table creation during a parallel
-  /// insert phase: the bucket count is published before the base handle
-  /// (release), and readers order their loads behind the base (acquire).
-  slabhash::TableRef table_acquire(VertexId u) const noexcept;
-  void publish_table(VertexId u, slabhash::TableRef ref) noexcept;
-
   /// Edge counters are mutated with atomics during batched updates.
   std::uint32_t& edge_count_word(VertexId u) noexcept {
     return entries_[u].edge_count;

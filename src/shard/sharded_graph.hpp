@@ -15,8 +15,7 @@
 //  * SYNC (insert_edges / delete_edges / edges_exist / edge_weights):
 //    routes, then applies shard by shard on the calling thread. The
 //    phase-concurrent contract is the caller's, exactly as for a single
-//    graph — this is the differential-reference mode the cross-shard test
-//    suite compares against a one-DynGraph oracle.
+//    graph.
 //
 //  * SCHEDULED (submit_*): fans out through each shard's own
 //    PhaseScheduler under the multi-graph conductor
@@ -32,11 +31,6 @@
 // independently. Unapplied edges are reported in ROUTED orientation: an
 // undirected tier's mirror appears as its own (dst, src) entry, and
 // retrying the unapplied list converges exactly as for one graph.
-//
-// In inline mode (GraphConfig::phase_scheduler = false) the scheduled API
-// degrades to synchronous execution on the calling thread, including the
-// analytics/snapshot path — there are no conductor threads to fence, and
-// a maintenance-barrier would deadlock on its own submitter.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +89,6 @@ class ShardedGraph {
       throw std::invalid_argument("ShardConfig::shard_count must be >= 1");
     }
     undirected_ = config_.graph.undirected;
-    inline_mode_ = !config_.graph.phase_scheduler;
     per_shard_items_.assign(config_.shard_count, 0);
     shards_.reserve(config_.shard_count);
     for (std::uint32_t s = 0; s < config_.shard_count; ++s) {
@@ -223,13 +216,6 @@ class ShardedGraph {
     RoutedBatch<core::WeightedEdge> routed =
         route_inserts(edges, config_.shard_count, undirected_);
     note_routed(routed, edges.size());
-    if (inline_mode_) {
-      return inline_mutation(routed,
-                             [this](std::uint32_t s,
-                                    std::span<const core::WeightedEdge> sub) {
-                               return shards_[s]->insert_edges(sub);
-                             });
-    }
     return conductor_->submit_insert(take_per_shard(routed));
   }
 
@@ -237,27 +223,11 @@ class ShardedGraph {
     RoutedBatch<core::Edge> routed =
         route_erases(edges, config_.shard_count, undirected_);
     note_routed(routed, edges.size());
-    if (inline_mode_) {
-      return inline_mutation(
-          routed, [this](std::uint32_t s, std::span<const core::Edge> sub) {
-            return shards_[s]->delete_edges(sub);
-          });
-    }
     return conductor_->submit_erase(take_per_shard(routed));
   }
 
   std::future<std::vector<std::uint8_t>> submit_edges_exist(
       std::vector<core::Edge> queries, std::uint32_t deadline_ms = 0) {
-    if (inline_mode_) {
-      std::promise<std::vector<std::uint8_t>> done;
-      std::future<std::vector<std::uint8_t>> f = done.get_future();
-      try {
-        done.set_value(edges_exist(queries));
-      } catch (...) {
-        done.set_exception(std::current_exception());
-      }
-      return f;
-    }
     RoutedBatch<core::Edge> routed =
         route_queries(queries, config_.shard_count);
     note_routed(routed, queries.size());
@@ -270,20 +240,6 @@ class ShardedGraph {
       std::vector<core::Edge> queries, std::uint32_t deadline_ms = 0)
     requires Policy::kHasValues
   {
-    if (inline_mode_) {
-      std::promise<core::EdgeWeightBatch> done;
-      std::future<core::EdgeWeightBatch> f = done.get_future();
-      try {
-        core::EdgeWeightBatch result;
-        result.weights.assign(queries.size(), core::Weight{0});
-        result.found.assign(queries.size(), 0);
-        edge_weights(queries, result.weights.data(), result.found.data());
-        done.set_value(std::move(result));
-      } catch (...) {
-        done.set_exception(std::current_exception());
-      }
-      return f;
-    }
     RoutedBatch<core::Edge> routed =
         route_queries(queries, config_.shard_count);
     note_routed(routed, queries.size());
@@ -298,9 +254,8 @@ class ShardedGraph {
   /// shard (num_edges, gathers, sync queries) is safe. Batch-atomic with
   /// respect to tier submissions: a tier batch admitted before this call
   /// is fully visible on every shard, one admitted after is visible on
-  /// none. Inline mode runs the task synchronously on the calling thread.
+  /// none.
   std::future<void> submit_analytics(std::function<void()> task) {
-    if (inline_mode_) return run_inline_void(std::move(task));
     return conductor_->submit_analytics(std::move(task));
   }
 
@@ -314,7 +269,6 @@ class ShardedGraph {
         persist::snapshot(*shards_[s], shard_snapshot_path(path_prefix, s));
       }
     };
-    if (inline_mode_) return run_inline_void(std::move(write_all));
     return conductor_->submit_snapshot(std::move(write_all));
   }
 
@@ -326,7 +280,6 @@ class ShardedGraph {
   /// Blocks until every tier submission accepted so far has completed on
   /// every shard and no phase is open anywhere.
   void drain() {
-    if (inline_mode_) return;
     conductor_->drain();
   }
 
@@ -369,33 +322,6 @@ class ShardedGraph {
                                     "sharded mutation aborted");
     }
     return applied;
-  }
-
-  /// Inline-mode submit_*: same sweep, result delivered as a ready future
-  /// (the single-graph inline_submit contract, one level up).
-  template <typename T, typename Apply>
-  std::future<std::uint64_t> inline_mutation(const RoutedBatch<T>& routed,
-                                             Apply&& apply) {
-    std::promise<std::uint64_t> done;
-    std::future<std::uint64_t> f = done.get_future();
-    try {
-      done.set_value(apply_mutation(routed, std::forward<Apply>(apply)));
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-    return f;
-  }
-
-  static std::future<void> run_inline_void(std::function<void()> task) {
-    std::promise<void> done;
-    std::future<void> f = done.get_future();
-    try {
-      task();
-      done.set_value();
-    } catch (...) {
-      done.set_exception(std::current_exception());
-    }
-    return f;
   }
 
   /// Owned per-shard vectors for the scheduled fan-out (one allocation per
@@ -462,7 +388,6 @@ class ShardedGraph {
 
   ShardConfig config_;
   bool undirected_ = false;
-  bool inline_mode_ = false;
   std::vector<std::unique_ptr<Graph>> shards_;
   /// Declared after shards_, destroyed FIRST: in-flight fence closures
   /// deliberately never reference the conductor (see

@@ -46,9 +46,7 @@ struct HarnessConfig {
   /// RSS flat instead of riding the high-water mark.
   std::uint32_t compact_every = 4;
   /// Construction-time knobs of the underlying graph. The harness forces
-  /// nothing: phase_scheduler = true (the default) runs the fenced
-  /// pipeline above; false degrades every step to synchronous inline
-  /// execution (the differential reference mode the tests compare).
+  /// nothing; every step runs through the fenced scheduled pipeline above.
   core::GraphConfig graph;
 };
 

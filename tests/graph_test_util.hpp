@@ -1,5 +1,5 @@
-// Shared helpers of the DynGraph differential suites (test_batch_engine,
-// test_pipeline, test_query_pipeline): the serial-oracle scope, the common
+// Shared helpers of the DynGraph differential suites: the one reference
+// model every engine path is checked against (ReferenceGraph), the common
 // random batch generator, and the graph-equality predicates. Workload
 // shapes that differ per suite (skew profiles, hub batches, query mixes)
 // stay in their own files on purpose — merging them would change test
@@ -9,30 +9,110 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
 #include "src/core/dyn_graph.hpp"
-#include "src/simt/thread_pool.hpp"
 #include "src/util/prng.hpp"
 
 namespace sg::core::testutil {
 
-/// Runs the scalar oracle's mutations on a temporarily 1-thread pool: the
-/// Algorithm-1 warp path resolves duplicate (src, dst) weights in warp
-/// execution order, which is nondeterministic across pool threads, whereas
-/// the engine guarantees most-recent-wins at any width. Sequential
-/// execution restores the semantics the oracle is meant to model.
-class SerialOracleScope {
+using EdgeSet = std::multiset<std::tuple<VertexId, VertexId, Weight>>;
+
+/// Reference model in the style of DynoGraph's reference_impl.h: adjacency
+/// as an ordered map of maps, with the paper's semantics — unique edges,
+/// the most recent weight wins (batches apply in input order), self-loops
+/// are dropped, and undirected edges are stored in both directions.
+class ReferenceGraph {
  public:
-  SerialOracleScope() : restore_(simt::ThreadPool::instance().requested()) {
-    simt::ThreadPool::instance().resize(1);
+  explicit ReferenceGraph(bool undirected = false) : undirected_(undirected) {}
+
+  /// Returns the number of NEW unique directed edges, as insert_edges does.
+  std::uint64_t insert(std::span<const WeightedEdge> batch) {
+    std::uint64_t added = 0;
+    for (const auto& e : batch) {
+      if (e.src == e.dst) continue;
+      added += insert_one(e.src, e.dst, e.weight);
+      if (undirected_) added += insert_one(e.dst, e.src, e.weight);
+    }
+    return added;
   }
-  ~SerialOracleScope() { simt::ThreadPool::instance().resize(restore_); }
+
+  /// Returns the number of directed edges removed, as delete_edges does.
+  std::uint64_t erase(std::span<const Edge> batch) {
+    std::uint64_t removed = 0;
+    for (const auto& e : batch) {
+      removed += erase_one(e.src, e.dst);
+      if (undirected_) removed += erase_one(e.dst, e.src);
+    }
+    return removed;
+  }
+
+  /// Removes the vertices and every edge pointing at them (Algorithm 2).
+  void delete_vertices(std::span<const VertexId> ids) {
+    for (VertexId v : ids) adj_.erase(v);
+    for (auto& [u, nbrs] : adj_) {
+      for (VertexId v : ids) nbrs.erase(v);
+    }
+  }
+
+  bool edge_exists(VertexId u, VertexId v) const {
+    auto it = adj_.find(u);
+    return it != adj_.end() && it->second.count(v) > 0;
+  }
+  std::uint32_t degree(VertexId u) const {
+    auto it = adj_.find(u);
+    return it == adj_.end() ? 0 : static_cast<std::uint32_t>(it->second.size());
+  }
+  /// Stored weight of (u, v); 0 when absent (the engine's miss value).
+  Weight weight(VertexId u, VertexId v) const {
+    auto it = adj_.find(u);
+    if (it == adj_.end()) return 0;
+    auto jt = it->second.find(v);
+    return jt == it->second.end() ? 0 : jt->second;
+  }
+  std::uint64_t num_edges() const {
+    std::uint64_t total = 0;
+    for (const auto& [u, nbrs] : adj_) total += nbrs.size();
+    return total;
+  }
+  const std::map<VertexId, std::map<VertexId, Weight>>& adjacency() const {
+    return adj_;
+  }
+  /// Every stored edge in graph_edges() form; weights are zeroed for
+  /// models of the set variant (`with_weights = false`).
+  EdgeSet edges(bool with_weights) const {
+    EdgeSet out;
+    for (const auto& [u, nbrs] : adj_) {
+      for (const auto& [v, w] : nbrs) out.insert({u, v, with_weights ? w : 0});
+    }
+    return out;
+  }
+  /// Model answers to a batched existence query (edges_exist's output).
+  std::vector<std::uint8_t> exist(std::span<const Edge> queries) const {
+    std::vector<std::uint8_t> out(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      out[i] = edge_exists(queries[i].src, queries[i].dst) ? 1 : 0;
+    }
+    return out;
+  }
 
  private:
-  unsigned restore_;
+  std::uint64_t insert_one(VertexId u, VertexId v, Weight w) {
+    const auto [it, fresh] = adj_[u].insert_or_assign(v, w);
+    return fresh ? 1 : 0;
+  }
+  std::uint64_t erase_one(VertexId u, VertexId v) {
+    auto it = adj_.find(u);
+    return it == adj_.end() ? 0 : it->second.erase(v);
+  }
+
+  bool undirected_;
+  std::map<VertexId, std::map<VertexId, Weight>> adj_;
 };
 
 inline std::vector<WeightedEdge> random_batch(std::uint64_t seed,
@@ -48,10 +128,17 @@ inline std::vector<WeightedEdge> random_batch(std::uint64_t seed,
   return batch;
 }
 
+/// The (src, dst) pairs of a weighted batch.
+inline std::vector<Edge> pairs_of(std::span<const WeightedEdge> batch) {
+  std::vector<Edge> out;
+  out.reserve(batch.size());
+  for (const auto& e : batch) out.push_back({e.src, e.dst});
+  return out;
+}
+
 template <class Policy>
-std::multiset<std::tuple<VertexId, VertexId, Weight>> graph_edges(
-    const DynGraph<Policy>& g) {
-  std::multiset<std::tuple<VertexId, VertexId, Weight>> edges;
+EdgeSet graph_edges(const DynGraph<Policy>& g) {
+  EdgeSet edges;
   for (VertexId u = 0; u < g.vertex_capacity(); ++u) {
     g.for_each_neighbor(u, [&](VertexId v, Weight w) {
       edges.insert({u, v, Policy::kHasValues ? w : Weight{0}});
@@ -70,6 +157,17 @@ void expect_identical(const DynGraph<Policy>& a, const DynGraph<Policy>& b) {
     ASSERT_EQ(da, db) << "degree mismatch at vertex " << u;
   }
   EXPECT_EQ(graph_edges(a), graph_edges(b));
+}
+
+/// The graph holds exactly the model's edges: totals, every exact degree
+/// counter, and the full (src, dst, weight) edge set.
+template <class Policy>
+void expect_matches_model(const DynGraph<Policy>& g, const ReferenceGraph& m) {
+  ASSERT_EQ(g.num_edges(), m.num_edges());
+  for (VertexId u = 0; u < g.vertex_capacity(); ++u) {
+    ASSERT_EQ(g.degree(u), m.degree(u)) << "degree mismatch at vertex " << u;
+  }
+  EXPECT_EQ(graph_edges(g), m.edges(Policy::kHasValues));
 }
 
 }  // namespace sg::core::testutil

@@ -3,12 +3,11 @@
 // popc success counting — one scalar slab op per key instead of the batch
 // engine's staged runs.
 //
-// This path soaked for several PRs as the batch engine's differential
-// reference and now lives here, off the hot path: DynGraph routes to it
-// only when GraphConfig::batch_engine is false (tests, tiny-batch latency
-// experiments). Undirected batches are applied in BOTH directions in
-// place — launch item i maps to edge i/2, mirrored when i is odd — so the
-// 2x `mirror_edges` temp vector the old path built is gone entirely.
+// The paper's algorithm, kept test-only: the library's one mutation path
+// is the batch engine, and test_batch_engine drives this oracle on its own
+// SlabArena + VertexDictionary against the same reference model the engine
+// is checked against. Undirected batches are applied in BOTH directions in
+// place — launch item i maps to edge i/2, mirrored when i is odd.
 #pragma once
 
 #include <atomic>

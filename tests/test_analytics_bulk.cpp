@@ -254,24 +254,6 @@ TEST(GatherFeedback, AnalyticsAloneNeverTriggersRebuild) {
   EXPECT_EQ(g.auto_rehash_triggers(), rehashes_before);
 }
 
-TEST(GatherFeedback, DisabledByConfig) {
-  GraphConfig cfg;
-  cfg.vertex_capacity = 16;
-  cfg.undirected = true;
-  cfg.gather_feedback = false;
-  DynGraphSet g(cfg);
-  std::vector<WeightedEdge> edges;
-  for (VertexId u = 0; u < 16; ++u) {
-    for (VertexId v = u + 1; v < 16; ++v) edges.push_back({u, v, 1});
-  }
-  g.insert_edges(edges);
-  const std::uint64_t runs_before = g.chain_feedback().runs_observed;
-  std::vector<VertexId> all(16);
-  for (VertexId u = 0; u < 16; ++u) all[u] = u;
-  for (int i = 0; i < 5; ++i) (void)g.gather_neighbors(all);
-  EXPECT_EQ(g.chain_feedback().runs_observed, runs_before);
-}
-
 // ---- analytics phase under racing mixed submitters (TSan target) -----------
 
 TEST(AnalyticsPhase, RacedAgainstMixedSubmitters) {

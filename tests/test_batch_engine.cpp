@@ -1,9 +1,9 @@
 // Differential tests of the staged batch engine (src/core/batch_engine.hpp):
-// the bulk path (config.batch_engine = true, the default) must produce a
-// graph identical to the scalar Algorithm-1 path on the same inputs —
-// random and skewed batches, inserts, erases, bulk build, and batched
-// existence queries — plus unit tests of the staging/grouping pass and the
-// slabhash bulk entry points it drives.
+// the engine and the paper's scalar Algorithm 1 (tests/scalar_oracle.hpp)
+// must each hold exactly the reference model's graph after the same
+// inputs — random and skewed batches, inserts, erases, bulk build, and
+// batched existence queries — plus unit tests of the staging/grouping pass
+// and the slabhash bulk entry points it drives.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,25 +13,104 @@
 
 #include "src/core/batch_engine.hpp"
 #include "src/core/dyn_graph.hpp"
+#include "src/core/vertex_dictionary.hpp"
+#include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
 #include "src/slabhash/slab_map.hpp"
 #include "src/slabhash/slab_set.hpp"
 #include "src/util/prng.hpp"
 #include "tests/graph_test_util.hpp"
+#include "tests/scalar_oracle.hpp"
 
 namespace sg::core {
 namespace {
 
 using namespace testutil;
 
-GraphConfig engine_config(bool batch_engine, bool undirected = false,
+GraphConfig engine_config(bool undirected = false,
                           std::uint32_t capacity = 256) {
   GraphConfig cfg;
   cfg.vertex_capacity = capacity;
   cfg.undirected = undirected;
-  cfg.batch_engine = batch_engine;
   return cfg;
 }
+
+/// Runs Algorithm 1 on a temporarily 1-thread pool: the warp path resolves
+/// duplicate (src, dst) weights in warp execution order, which is
+/// nondeterministic across pool threads, whereas the model (and the
+/// engine, at any width) is most-recent-wins. Sequential execution
+/// restores the semantics the model describes.
+class SerialOracleScope {
+ public:
+  SerialOracleScope() : restore_(simt::ThreadPool::instance().requested()) {
+    simt::ThreadPool::instance().resize(1);
+  }
+  ~SerialOracleScope() { simt::ThreadPool::instance().resize(restore_); }
+
+ private:
+  unsigned restore_;
+};
+
+/// The paper's Algorithm 1 over its own SlabArena + VertexDictionary: one
+/// scalar slab op per key, tables created lazily at one bucket on first
+/// touch (§III-b), exactly as the warp path ran on the GPU.
+template <class Policy>
+class Alg1Graph {
+ public:
+  static constexpr std::uint64_t kSeed = 0x5EEDF00DULL;
+
+  Alg1Graph(bool undirected, std::uint32_t capacity)
+      : undirected_(undirected), dict_(capacity) {}
+
+  std::uint64_t insert(std::span<const WeightedEdge> edges) {
+    VertexId max_id = 0;
+    for (const auto& e : edges) max_id = std::max({max_id, e.src, e.dst});
+    if (max_id >= dict_.capacity()) dict_.grow(max_id + 1);
+    SerialOracleScope serial;
+    return oracle::insert_directed<Policy>(
+        arena_, dict_, edges, undirected_, kSeed,
+        [this](VertexId u) { return acquire(u); });
+  }
+  std::uint64_t erase(std::span<const Edge> edges) {
+    SerialOracleScope serial;
+    return oracle::delete_directed<Policy>(arena_, dict_, edges, undirected_,
+                                           kSeed);
+  }
+  bool edge_exists(VertexId u, VertexId v) const {
+    return u < dict_.capacity() && dict_.has_table(u) &&
+           Policy::contains(arena_, dict_.table(u), v, kSeed);
+  }
+
+  /// Totals, exact degree counters, and the full edge set match `m`.
+  void expect_matches_model(const ReferenceGraph& m) const {
+    ASSERT_EQ(dict_.total_edges(), m.num_edges());
+    EdgeSet edges;
+    for (VertexId u = 0; u < dict_.capacity(); ++u) {
+      ASSERT_EQ(dict_.edge_count(u), m.degree(u)) << "degree of " << u;
+      if (!dict_.has_table(u)) continue;
+      Policy::for_each(arena_, dict_.table(u), [&](VertexId v, Weight w) {
+        edges.insert({u, v, Policy::kHasValues ? w : Weight{0}});
+      });
+    }
+    EXPECT_EQ(edges, m.edges(Policy::kHasValues));
+  }
+
+ private:
+  /// Lazy first-touch table creation. Algorithm 1 runs on a 1-thread pool
+  /// here (SerialOracleScope), so no two warps race to create one table.
+  slabhash::TableRef acquire(VertexId u) {
+    if (!dict_.has_table(u)) {
+      dict_.set_table(u,
+                      {arena_.allocate_contiguous(1, slabhash::kEmptyKey), 1});
+      dict_.set_edge_count(u, 0);
+    }
+    return dict_.table(u);
+  }
+
+  bool undirected_;
+  memory::SlabArena arena_;
+  VertexDictionary dict_;
+};
 
 /// Skewed batch: a handful of hub sources own most of the edges (the
 /// bucket-skew case run scheduling must balance), plus duplicates.
@@ -51,46 +130,43 @@ std::vector<WeightedEdge> skewed_batch(std::uint64_t seed, std::size_t count,
 
 template <class Policy>
 void run_differential(bool undirected, std::uint64_t seed) {
-  DynGraph<Policy> bulk(engine_config(true, undirected));
-  DynGraph<Policy> scalar(engine_config(false, undirected));
-  ASSERT_TRUE(bulk.config().batch_engine);
-  ASSERT_FALSE(scalar.config().batch_engine);
+  DynGraph<Policy> engine(engine_config(undirected));
+  Alg1Graph<Policy> alg1(undirected, 256);
+  ReferenceGraph model(undirected);
 
   // Interleave random and skewed insert batches with erase batches drawn
-  // from the same distributions, checking equality after every phase.
+  // from the same distributions, checking both paths against the model
+  // after every phase.
   for (int round = 0; round < 4; ++round) {
     const auto inserts = round % 2 == 0
                              ? random_batch(seed + round, 600, 180)
                              : skewed_batch(seed + round, 600, 180);
-    const std::uint64_t added = bulk.insert_edges(inserts);
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(added, scalar.insert_edges(inserts));
-    }
-    expect_identical(bulk, scalar);
+    const std::uint64_t added = model.insert(inserts);
+    EXPECT_EQ(engine.insert_edges(inserts), added);
+    EXPECT_EQ(alg1.insert(inserts), added);
+    expect_matches_model(engine, model);
+    alg1.expect_matches_model(model);
 
-    std::vector<Edge> erases;
-    for (const auto& e : round % 2 == 0
-                             ? skewed_batch(seed + 100 + round, 250, 180)
-                             : random_batch(seed + 100 + round, 250, 180)) {
-      erases.push_back({e.src, e.dst});
-    }
-    EXPECT_EQ(bulk.delete_edges(erases), scalar.delete_edges(erases));
-    expect_identical(bulk, scalar);
+    const std::vector<Edge> erases = pairs_of(
+        round % 2 == 0 ? skewed_batch(seed + 100 + round, 250, 180)
+                       : random_batch(seed + 100 + round, 250, 180));
+    const std::uint64_t removed = model.erase(erases);
+    EXPECT_EQ(engine.delete_edges(erases), removed);
+    EXPECT_EQ(alg1.erase(erases), removed);
+    expect_matches_model(engine, model);
+    alg1.expect_matches_model(model);
 
-    // Batched existence must agree with scalar point queries on hits,
-    // misses, unknown sources, and self-loops.
-    const auto probes = random_batch(seed + 200 + round, 300, 220);
-    std::vector<Edge> queries;
-    for (const auto& e : probes) queries.push_back({e.src, e.dst});
-    std::vector<std::uint8_t> bulk_out(queries.size(), 2);
-    std::vector<std::uint8_t> scalar_out(queries.size(), 2);
-    bulk.edges_exist(queries, bulk_out.data());
-    scalar.edges_exist(queries, scalar_out.data());
-    EXPECT_EQ(bulk_out, scalar_out);
+    // Batched existence must agree with the model on hits, misses, unknown
+    // sources, and self-loops; so must the oracle's point lookups.
+    const std::vector<Edge> queries =
+        pairs_of(random_batch(seed + 200 + round, 300, 220));
+    std::vector<std::uint8_t> out(queries.size(), 2);
+    engine.edges_exist(queries, out.data());
+    const std::vector<std::uint8_t> expected = model.exist(queries);
+    EXPECT_EQ(out, expected);
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(bulk_out[q] != 0,
-                scalar.edge_exists(queries[q].src, queries[q].dst));
+      EXPECT_EQ(alg1.edge_exists(queries[q].src, queries[q].dst),
+                expected[q] != 0);
     }
   }
 }
@@ -108,24 +184,21 @@ TEST(BatchEngineDifferential, SetUndirected) {
   run_differential<SetPolicy>(true, 4);
 }
 
-TEST(BatchEngineDifferential, BulkBuildMatchesScalar) {
+TEST(BatchEngineDifferential, BulkBuildMatchesModel) {
   const auto edges = random_batch(7, 4000, 500);
   for (const bool undirected : {false, true}) {
-    DynGraphMap bulk(engine_config(true, undirected, 500));
-    DynGraphMap scalar(engine_config(false, undirected, 500));
-    bulk.bulk_build(edges);
-    {
-      SerialOracleScope serial;  // duplicate weights resolve in input order
-      scalar.bulk_build(edges);
-    }
-    expect_identical(bulk, scalar);
+    DynGraphMap engine(engine_config(undirected, 500));
+    ReferenceGraph model(undirected);
+    model.insert(edges);
+    engine.bulk_build(edges);
+    expect_matches_model(engine, model);
   }
 }
 
 TEST(BatchEngineDifferential, MostRecentDuplicateWinsDeterministically) {
   // Duplicates inside a batch must resolve to the LAST occurrence even
   // though the engine reorders the batch internally.
-  DynGraphMap g(engine_config(true));
+  DynGraphMap g(engine_config());
   std::vector<WeightedEdge> batch;
   for (Weight w = 1; w <= 64; ++w) batch.push_back({5, 9, w});
   batch.push_back({5, 10, 1});

@@ -3,9 +3,9 @@
 // keys, misses (never-inserted and already-erased pairs), self-loops, and
 // immediate reinsert-after-erase cycles — swept across stage shard counts
 // and pipeline epoch sizes, for both graph variants and both
-// directednesses. The oracle is the scalar Algorithm-1/2 path
-// (config.batch_engine = false); the bulk engine must match it edge-for-
-// edge and count-for-count after every phase.
+// directednesses. The engine must match the reference model
+// (tests/graph_test_util.hpp) edge-for-edge and count-for-count after
+// every phase.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,16 +25,12 @@ struct StressShape {
   std::uint32_t epoch_edges;
 };
 
-GraphConfig stress_config(bool batch_engine, bool undirected,
-                          const StressShape& shape) {
+GraphConfig stress_config(bool undirected, const StressShape& shape) {
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
   cfg.undirected = undirected;
-  cfg.batch_engine = batch_engine;
-  if (batch_engine) {
-    cfg.stage_shards = shape.stage_shards;
-    cfg.pipeline_epoch_edges = shape.epoch_edges;
-  }
+  cfg.stage_shards = shape.stage_shards;
+  cfg.pipeline_epoch_edges = shape.epoch_edges;
   return cfg;
 }
 
@@ -70,29 +66,22 @@ std::vector<Edge> adversarial_erases(util::Xoshiro256& rng,
 template <class Policy>
 void run_erase_stress(bool undirected, const StressShape& shape,
                       std::uint64_t seed) {
-  DynGraph<Policy> bulk(stress_config(true, undirected, shape));
-  DynGraph<Policy> scalar(stress_config(false, undirected, shape));
+  DynGraph<Policy> bulk(stress_config(undirected, shape));
+  ReferenceGraph model(undirected);
   util::Xoshiro256 rng(seed);
 
   // Seed population, then erase-dominant churn: each round erases ~2x the
   // edges it inserts, and reinserts a slice of what it just erased (the
   // tombstone-reuse path).
   std::vector<WeightedEdge> history = random_batch(seed, 1200, 200);
-  bulk.insert_edges(history);
-  {
-    SerialOracleScope serial;
-    scalar.insert_edges(history);
-  }
-  expect_identical(bulk, scalar);
+  EXPECT_EQ(bulk.insert_edges(history), model.insert(history));
+  expect_matches_model(bulk, model);
 
   for (int round = 0; round < 6; ++round) {
     const auto erases = adversarial_erases(rng, history, 400);
-    const std::uint64_t removed = bulk.delete_edges(erases);
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(removed, scalar.delete_edges(erases)) << "round " << round;
-    }
-    expect_identical(bulk, scalar);
+    EXPECT_EQ(bulk.delete_edges(erases), model.erase(erases))
+        << "round " << round;
+    expect_matches_model(bulk, model);
 
     // Churn: reinsert a third of the erased pairs with fresh weights, plus
     // a trickle of brand-new edges (also tracked for future erase rounds).
@@ -103,12 +92,9 @@ void run_erase_stress(bool undirected, const StressShape& shape,
     }
     const auto fresh = random_batch(seed + 100 + round, 150, 200);
     reinserts.insert(reinserts.end(), fresh.begin(), fresh.end());
-    const std::uint64_t added = bulk.insert_edges(reinserts);
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(added, scalar.insert_edges(reinserts)) << "round " << round;
-    }
-    expect_identical(bulk, scalar);
+    EXPECT_EQ(bulk.insert_edges(reinserts), model.insert(reinserts))
+        << "round " << round;
+    expect_matches_model(bulk, model);
     history.insert(history.end(), reinserts.begin(), reinserts.end());
   }
 
@@ -116,11 +102,8 @@ void run_erase_stress(bool undirected, const StressShape& shape,
   // duplicates) in one giant batch — the graph must end exactly empty.
   std::vector<Edge> drain;
   for (const auto& e : history) drain.push_back({e.src, e.dst});
-  EXPECT_EQ(bulk.delete_edges(drain), [&] {
-    SerialOracleScope serial;
-    return scalar.delete_edges(drain);
-  }());
-  expect_identical(bulk, scalar);
+  EXPECT_EQ(bulk.delete_edges(drain), model.erase(drain));
+  expect_matches_model(bulk, model);
   EXPECT_EQ(bulk.num_edges(), 0u);
 }
 

@@ -10,82 +10,17 @@
 
 #include "src/core/dyn_graph.hpp"
 #include "src/util/prng.hpp"
+#include "tests/graph_test_util.hpp"
 
 namespace sg::core {
 namespace {
+
+using testutil::ReferenceGraph;
 
 struct PropertyParam {
   std::uint64_t seed;
   bool undirected;
   double load_factor;
-};
-
-/// Reference model: adjacency as a map of maps, mirroring the paper's
-/// semantics (unique edges, most recent weight, no self-loops).
-class ReferenceGraph {
- public:
-  explicit ReferenceGraph(bool undirected) : undirected_(undirected) {}
-
-  std::uint64_t insert(const std::vector<WeightedEdge>& batch) {
-    std::uint64_t added = 0;
-    for (const auto& e : batch) {
-      if (e.src == e.dst) continue;
-      added += insert_one(e.src, e.dst, e.weight);
-      if (undirected_) added += insert_one(e.dst, e.src, e.weight);
-    }
-    return added;
-  }
-
-  std::uint64_t erase(const std::vector<Edge>& batch) {
-    std::uint64_t removed = 0;
-    for (const auto& e : batch) {
-      removed += adj_[e.src].erase(e.dst);
-      if (undirected_) removed += adj_[e.dst].erase(e.src);
-    }
-    return removed;
-  }
-
-  void delete_vertices(const std::vector<VertexId>& ids) {
-    for (VertexId v : ids) dead_.insert(v);
-    for (VertexId v : ids) adj_.erase(v);
-    for (auto& [u, nbrs] : adj_) {
-      for (VertexId v : ids) nbrs.erase(v);
-    }
-  }
-
-  void revive(VertexId v) { dead_.erase(v); }
-
-  bool edge_exists(VertexId u, VertexId v) const {
-    if (dead_.count(u) || dead_.count(v)) return false;
-    auto it = adj_.find(u);
-    return it != adj_.end() && it->second.count(v) > 0;
-  }
-  std::uint32_t degree(VertexId u) const {
-    auto it = adj_.find(u);
-    return it == adj_.end() ? 0 : static_cast<std::uint32_t>(it->second.size());
-  }
-  Weight weight(VertexId u, VertexId v) const { return adj_.at(u).at(v); }
-  std::uint64_t num_edges() const {
-    std::uint64_t total = 0;
-    for (const auto& [u, nbrs] : adj_) total += nbrs.size();
-    return total;
-  }
-  const std::map<VertexId, std::map<VertexId, Weight>>& adjacency() const {
-    return adj_;
-  }
-
- private:
-  std::uint64_t insert_one(VertexId u, VertexId v, Weight w) {
-    dead_.erase(u);
-    dead_.erase(v);
-    const bool fresh = adj_[u].emplace(v, w).second;
-    if (!fresh) adj_[u][v] = w;
-    return fresh ? 1 : 0;
-  }
-
-  bool undirected_;
-  std::map<VertexId, std::map<VertexId, Weight>> adj_;
-  std::set<VertexId> dead_;
 };
 
 class DynGraphProperty : public ::testing::TestWithParam<PropertyParam> {};

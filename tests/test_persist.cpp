@@ -40,7 +40,9 @@ using core::VertexId;
 using core::Weight;
 using core::WeightedEdge;
 using core::testutil::expect_identical;
+using core::testutil::expect_matches_model;
 using core::testutil::random_batch;
+using core::testutil::ReferenceGraph;
 
 /// Unique scratch directory per test, removed on scope exit.
 class TempDir {
@@ -329,11 +331,11 @@ TEST(Snapshot, ShutdownSnapshotWrittenByDestructor) {
     DynGraphMap g(cfg);
     g.insert_edges(batch);
   }
-  DynGraphMap oracle(GraphConfig{});
-  oracle.insert_edges(batch);
+  ReferenceGraph model;
+  model.insert(batch);
   DynGraphMap restored(GraphConfig{});
   restore_into(restored, dir.file("final"));
-  expect_identical(oracle, restored);
+  expect_matches_model(restored, model);
 }
 
 // --------------------------------------------------------------------------
@@ -407,20 +409,25 @@ TEST(Snapshot, MidStreamCutIsBatchAtomicUnderConcurrentSubmitters) {
 // Journal + recovery
 // --------------------------------------------------------------------------
 
-/// Applies a deterministic mutation stream; used both on journaled graphs
-/// and on the journal-less oracle the recovered graph must equal.
+/// Applies a deterministic mutation stream to a journaled graph and the
+/// same stream to `model`, the reference the recovered graph must equal.
 template <class Policy>
-void mutate_stream(DynGraph<Policy>& g, std::uint64_t seed, int rounds) {
+void mutate_stream(DynGraph<Policy>& g, ReferenceGraph& model,
+                   std::uint64_t seed, int rounds) {
   for (int r = 0; r < rounds; ++r) {
     auto batch = random_batch(seed + r, 600, 128);
     g.insert_edges(batch);
+    model.insert(batch);
     std::vector<Edge> erase;
     for (std::size_t i = r % 5; i < batch.size(); i += 5) {
       erase.push_back({batch[i].src, batch[i].dst});
     }
     g.delete_edges(erase);
+    model.erase(erase);
     if (r % 3 == 1) {
-      g.delete_vertices(std::vector<VertexId>{static_cast<VertexId>(r * 7)});
+      const std::vector<VertexId> doomed{static_cast<VertexId>(r * 7)};
+      g.delete_vertices(doomed);
+      model.delete_vertices(doomed);
     }
     if (r % 3 == 2) {
       g.insert_vertices(
@@ -436,21 +443,17 @@ void journal_only_recovery_case(bool undirected) {
   GraphConfig cfg;
   cfg.undirected = undirected;
   cfg.journal_path = dir.file("j");
+  ReferenceGraph model(undirected);
   {
     DynGraph<Policy> g(cfg);
     ASSERT_TRUE(g.has_journal());
-    mutate_stream(g, 77, 6);
+    mutate_stream(g, model, 77, 6);
   }
   Recovered<Policy> rec = recover<Policy>(cfg);
   EXPECT_FALSE(rec.stats.snapshot_loaded);
   EXPECT_GT(rec.stats.replayed_records, 0u);
   EXPECT_EQ(rec.stats.skipped_records, 0u);
-
-  GraphConfig oracle_cfg = cfg;
-  oracle_cfg.journal_path.clear();
-  DynGraph<Policy> oracle(oracle_cfg);
-  mutate_stream(oracle, 77, 6);
-  expect_identical(oracle, *rec.graph);
+  expect_matches_model(*rec.graph, model);
 }
 
 TEST(Recovery, JournalOnlyMapDirected) {
@@ -465,24 +468,19 @@ TEST(Recovery, SnapshotPlusJournalSuffixReplay) {
   GraphConfig cfg;
   cfg.journal_path = dir.file("j");
   std::uint64_t records_at_cut = 0;
+  ReferenceGraph model;
   {
     DynGraphMap g(cfg);
-    mutate_stream(g, 5, 4);
+    mutate_stream(g, model, 5, 4);
     snapshot(g, dir.file("snap"));
     records_at_cut = g.journal_seq();
-    mutate_stream(g, 999, 3);  // the suffix only the journal holds
+    mutate_stream(g, model, 999, 3);  // the suffix only the journal holds
   }
   const RecoveredMap rec = recover<MapPolicy>(cfg, dir.file("snap"));
   EXPECT_TRUE(rec.stats.snapshot_loaded);
   EXPECT_EQ(rec.stats.skipped_records, records_at_cut);
   EXPECT_GT(rec.stats.replayed_records, 0u);
-
-  GraphConfig oracle_cfg = cfg;
-  oracle_cfg.journal_path.clear();
-  DynGraphMap oracle(oracle_cfg);
-  mutate_stream(oracle, 5, 4);
-  mutate_stream(oracle, 999, 3);
-  expect_identical(oracle, *rec.graph);
+  expect_matches_model(*rec.graph, model);
 }
 
 TEST(Recovery, EmptyJournalYieldsEmptyGraph) {
@@ -636,14 +634,6 @@ TEST(Recovery, BulkBuildReplayReproducesDstOnlyVertices) {
   EXPECT_TRUE(rec.graph->vertex_live(9));
   EXPECT_TRUE(rec.graph->edge_exists(1, 9));
   EXPECT_EQ(rec.graph->num_edges(), 2u);
-}
-
-TEST(Journal, RequiresBatchEngine) {
-  TempDir dir;
-  GraphConfig cfg;
-  cfg.batch_engine = false;
-  cfg.journal_path = dir.file("j");
-  EXPECT_THROW(DynGraphMap{cfg}, std::invalid_argument);
 }
 
 TEST(Journal, ScheduledMutationsAreJournaledBeforeFuturesResolve) {

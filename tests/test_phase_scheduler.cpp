@@ -13,7 +13,7 @@
 //     resolved observes that mutation; analytics on a never-mutated static
 //     prefix return exact answers at every interleaving;
 //   * stats (phase switches, coalesced batches, per-kind counts), drain,
-//     inline reference mode (phase_scheduler = false), and exception
+//     submit_* results against the reference model, and exception
 //     propagation through the futures.
 #include <gtest/gtest.h>
 
@@ -432,10 +432,10 @@ class PhaseSchedulerWidthSweep : public ::testing::TestWithParam<unsigned> {
 /// The acceptance differential: >= 4 concurrent submitter threads mix
 /// insert / erase / exist submissions on one scheduled graph. Each thread
 /// owns a disjoint source range (so the interleaving is commutative and a
-/// serialized oracle exists); a never-mutated static prefix is probed from
+/// serialized model exists); a never-mutated static prefix is probed from
 /// every thread mid-stream and must answer exactly at every interleaving;
 /// each thread checks read-your-writes on its own range. The final graph
-/// must equal the oracle built by serialized synchronous execution.
+/// must equal the reference model fed the same ops serially.
 TEST_P(PhaseSchedulerWidthSweep, MixedSubmittersMatchSerializedExecution) {
   constexpr unsigned kSubmitters = 4;
   constexpr std::uint32_t kRange = 64;         // sources per submitter
@@ -445,7 +445,6 @@ TEST_P(PhaseSchedulerWidthSweep, MixedSubmittersMatchSerializedExecution) {
 
   GraphConfig cfg;
   cfg.vertex_capacity = 1024;
-  ASSERT_TRUE(cfg.phase_scheduler);  // scheduled mode is the default
 
   // Static prefix: inserted synchronously before any submitter starts;
   // submitter mutations never touch sources >= kStaticBase, so these
@@ -466,7 +465,7 @@ TEST_P(PhaseSchedulerWidthSweep, MixedSubmittersMatchSerializedExecution) {
   DynGraphMap scheduled(cfg);
   scheduled.insert_edges(static_edges);
 
-  // Deterministic per-thread workload, also replayed into the oracle.
+  // Deterministic per-thread workload, also replayed into the model.
   struct ThreadOps {
     std::vector<std::vector<WeightedEdge>> insert_batches;
     std::vector<Edge> erase_batch;
@@ -485,7 +484,7 @@ TEST_P(PhaseSchedulerWidthSweep, MixedSubmittersMatchSerializedExecution) {
       ops[t].insert_batches.push_back(std::move(batch));
     }
     // Erase a deterministic subset of the thread's own inserts (plus some
-    // never-present edges, which must count as misses for the oracle too).
+    // never-present edges, which must count as misses for the model too).
     for (std::size_t i = 0; i < ops[t].insert_batches[0].size(); i += 3) {
       const auto& e = ops[t].insert_batches[0][i];
       ops[t].erase_batch.push_back({e.src, e.dst});
@@ -508,7 +507,7 @@ TEST_P(PhaseSchedulerWidthSweep, MixedSubmittersMatchSerializedExecution) {
       erased.get();
       // Read-your-writes: the erase future resolved, so a query submitted
       // NOW must see batch-0 edges minus the erased subset... unless a
-      // later batch of this thread re-inserted the pair, which the oracle
+      // later batch of this thread re-inserted the pair, which the model
       // below accounts for; here spot-check a pair no later batch can
       // contain (dst 9999 was only ever erased, never inserted).
       std::vector<Edge> own_probe{{t * kRange, 9999}};
@@ -526,19 +525,15 @@ TEST_P(PhaseSchedulerWidthSweep, MixedSubmittersMatchSerializedExecution) {
   scheduled.schedule_drain();
   EXPECT_EQ(failures.load(), 0);
 
-  // Serialized oracle: identical ops, synchronous, thread-by-thread —
-  // commutative because source ranges are disjoint.
-  GraphConfig oracle_cfg = cfg;
-  oracle_cfg.phase_scheduler = false;
-  DynGraphMap oracle(oracle_cfg);
-  oracle.insert_edges(static_edges);
+  // Serialized model: identical ops, thread-by-thread — commutative
+  // because source ranges are disjoint.
+  ReferenceGraph model;
+  model.insert(static_edges);
   for (unsigned t = 0; t < kSubmitters; ++t) {
-    for (const auto& batch : ops[t].insert_batches) {
-      oracle.insert_edges(batch);
-    }
-    oracle.delete_edges(ops[t].erase_batch);
+    for (const auto& batch : ops[t].insert_batches) model.insert(batch);
+    model.erase(ops[t].erase_batch);
   }
-  EXPECT_EQ(graph_edges(scheduled), graph_edges(oracle));
+  expect_matches_model(scheduled, model);
 
   const PhaseScheduleStats stats = scheduled.last_schedule_stats();
   EXPECT_EQ(stats.submitted_mutations, kSubmitters * (kBatches + 1));
@@ -581,11 +576,9 @@ TEST_P(PhaseSchedulerWidthSweep, SetVariantMatchesSerializedExecution) {
   scheduled.schedule_drain();
   EXPECT_EQ(failures.load(), 0);
 
-  GraphConfig oracle_cfg = cfg;
-  oracle_cfg.phase_scheduler = false;
-  DynGraphSet oracle(oracle_cfg);
-  for (unsigned t = 0; t < kSubmitters; ++t) oracle.insert_edges(batches[t]);
-  EXPECT_EQ(graph_edges(scheduled), graph_edges(oracle));
+  ReferenceGraph model;
+  for (unsigned t = 0; t < kSubmitters; ++t) model.insert(batches[t]);
+  expect_matches_model(scheduled, model);
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolWidths, PhaseSchedulerWidthSweep,
@@ -609,27 +602,26 @@ TEST(ScheduledMode, WeightQueriesResolveAgainstPhaseConsistentState) {
   EXPECT_EQ(g.submit_edge_weights({{1, 2}}).get().weights[0], 99u);
 }
 
-TEST(ScheduledMode, InlineReferenceModeMatchesScheduler) {
-  GraphConfig inline_cfg;
-  inline_cfg.vertex_capacity = 128;
-  inline_cfg.phase_scheduler = false;  // synchronous ready-future mode
-  DynGraphMap inline_graph(inline_cfg);
-  GraphConfig sched_cfg = inline_cfg;
-  sched_cfg.phase_scheduler = true;
-  DynGraphMap sched_graph(sched_cfg);
+TEST(ScheduledMode, SubmitResultsMatchModel) {
+  GraphConfig cfg;
+  cfg.vertex_capacity = 128;
+  DynGraphMap g(cfg);
+  ReferenceGraph model;
 
   const auto batch = random_batch(5, 500, 100);
-  EXPECT_EQ(inline_graph.submit_insert(batch).get(),
-            sched_graph.submit_insert(batch).get());
+  EXPECT_EQ(g.submit_insert(batch).get(), model.insert(batch));
   const auto probes = std::vector<Edge>{{batch[0].src, batch[0].dst},
                                         {batch[1].src, batch[1].dst},
                                         {120, 121}};
-  EXPECT_EQ(inline_graph.submit_edges_exist(probes).get(),
-            sched_graph.submit_edges_exist(probes).get());
-  EXPECT_EQ(graph_edges(inline_graph), graph_edges(sched_graph));
-  // Inline mode never starts a conductor: stats stay all-zero.
-  EXPECT_EQ(inline_graph.last_schedule_stats().submitted_mutations, 0u);
-  EXPECT_GT(sched_graph.last_schedule_stats().submitted_mutations, 0u);
+  EXPECT_EQ(g.submit_edges_exist(probes).get(), model.exist(probes));
+  const EdgeWeightBatch weights = g.submit_edge_weights(probes).get();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(weights.weights[i], model.weight(probes[i].src, probes[i].dst));
+  }
+  const std::vector<Edge> erases = pairs_of(random_batch(6, 200, 100));
+  EXPECT_EQ(g.submit_erase(erases).get(), model.erase(erases));
+  expect_matches_model(g, model);
+  EXPECT_GT(g.last_schedule_stats().submitted_mutations, 0u);
 }
 
 TEST(ScheduledMode, ExceptionsPropagateThroughTheFuture) {
@@ -741,7 +733,7 @@ TEST(ScheduledMode, DestroyingGraphWithInFlightSubmissionsResolvesEveryFuture) {
 
 /// Bounded-queue acceptance at the graph level: with GraphConfig caps and
 /// the default kBlock policy, overload just serializes submitters — no
-/// rejection, no loss, queue depth bounded, final graph equals the oracle.
+/// rejection, no loss, queue depth bounded, final graph equals the model.
 TEST(ScheduledMode, BoundedQueueBlockingMatchesOracle) {
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
@@ -771,21 +763,15 @@ TEST(ScheduledMode, BoundedQueueBlockingMatchesOracle) {
   for (auto& th : threads) th.join();
   g.schedule_drain();
 
-  GraphConfig oracle_cfg;
-  oracle_cfg.vertex_capacity = 256;
-  oracle_cfg.phase_scheduler = false;
-  DynGraphMap oracle(oracle_cfg);
-  for (const auto& batch : batches) oracle.insert_edges(batch);
+  ReferenceGraph model;
+  for (const auto& batch : batches) model.insert(batch);
   // Overlapping (src,dst) across batches resolve most-recent-wins; with
   // every submitter waiting on its future, submission order is a valid
   // serialization, but weights may differ across interleavings — compare
   // the unweighted edge sets.
-  const auto unweighted = [](const auto& edges) {
-    std::multiset<std::pair<VertexId, VertexId>> pairs;
-    for (const auto& e : edges) pairs.emplace(std::get<0>(e), std::get<1>(e));
-    return pairs;
-  };
-  EXPECT_EQ(unweighted(graph_edges(g)), unweighted(graph_edges(oracle)));
+  EdgeSet unweighted;
+  for (const auto& [u, v, w] : graph_edges(g)) unweighted.insert({u, v, 0});
+  EXPECT_EQ(unweighted, model.edges(/*with_weights=*/false));
   const PhaseScheduleStats stats = g.last_schedule_stats();
   EXPECT_EQ(stats.rejected_submissions, 0u);
   EXPECT_LE(stats.max_queue_depth, 2u);

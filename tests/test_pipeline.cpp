@@ -1,14 +1,15 @@
 // Tests of the sharded, double-buffered batch pipeline (PR 3): interleaved
-// insert/delete/search batches through the pipelined path must equal both
-// the scalar Algorithm-1 oracle and the single-buffer PR 2 engine across
+// insert/delete/search batches through the pipelined path — and through a
+// one-epoch (single-buffer) run — must equal the reference model across
 // shard counts, epoch sizes, and pool widths (including the degenerate
 // 1-thread pipeline and pools wider than the shard count); most-recent-wins
 // dedup must stay deterministic across shard AND epoch boundaries; targeted
 // rehash must match the full scan while visiting strictly fewer tables; and
-// the batched edge_weights API must agree with point lookups.
+// the batched edge_weights API must agree with point lookups and the model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -24,23 +25,17 @@ namespace {
 
 using namespace testutil;
 
+/// An epoch size no test batch reaches: every batch runs as one epoch,
+/// staged then applied with no second buffer (the single-buffer engine).
+constexpr std::uint32_t kOneEpoch = UINT32_MAX;
+
 GraphConfig pipeline_config(bool undirected, std::uint32_t shards,
-                            std::uint32_t epoch_edges, bool double_buffer) {
+                            std::uint32_t epoch_edges) {
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
   cfg.undirected = undirected;
-  cfg.batch_engine = true;
   cfg.stage_shards = shards;
   cfg.pipeline_epoch_edges = epoch_edges;
-  cfg.double_buffer = double_buffer;
-  return cfg;
-}
-
-GraphConfig oracle_config(bool undirected) {
-  GraphConfig cfg;
-  cfg.vertex_capacity = 256;
-  cfg.undirected = undirected;
-  cfg.batch_engine = false;
   return cfg;
 }
 
@@ -61,48 +56,39 @@ std::vector<WeightedEdge> skewed_batch(std::uint64_t seed, std::size_t count,
   return batch;
 }
 
-/// Drives interleaved insert / delete / search rounds through three graphs
-/// — the pipelined engine under test, the single-buffer engine, and the
-/// scalar oracle — asserting equality after every phase.
+/// Drives interleaved insert / delete / search rounds through two graphs
+/// — the pipelined engine under test and a one-epoch (single-buffer) run —
+/// asserting after every phase that both hold exactly the model's graph.
 template <class Policy>
 void run_pipeline_differential(bool undirected, std::uint32_t shards,
                                std::uint32_t epoch_edges, std::uint64_t seed) {
-  DynGraph<Policy> pipelined(
-      pipeline_config(undirected, shards, epoch_edges, true));
-  DynGraph<Policy> single_buffer(pipeline_config(undirected, 1, 0, false));
-  DynGraph<Policy> oracle(oracle_config(undirected));
+  DynGraph<Policy> pipelined(pipeline_config(undirected, shards, epoch_edges));
+  DynGraph<Policy> single_buffer(pipeline_config(undirected, 1, kOneEpoch));
+  ReferenceGraph model(undirected);
 
   for (int round = 0; round < 3; ++round) {
     const auto inserts = round % 2 == 0
                              ? skewed_batch(seed + round, 700, 180)
                              : random_batch(seed + round, 700, 180);
-    const std::uint64_t added = pipelined.insert_edges(inserts);
-    EXPECT_EQ(added, single_buffer.insert_edges(inserts));
-    {
-      SerialOracleScope serial;
-      EXPECT_EQ(added, oracle.insert_edges(inserts));
-    }
-    expect_identical(pipelined, oracle);
-    expect_identical(pipelined, single_buffer);
+    const std::uint64_t added = model.insert(inserts);
+    EXPECT_EQ(pipelined.insert_edges(inserts), added);
+    EXPECT_EQ(single_buffer.insert_edges(inserts), added);
+    expect_matches_model(pipelined, model);
+    expect_matches_model(single_buffer, model);
 
-    std::vector<Edge> erases;
-    for (const auto& e : skewed_batch(seed + 50 + round, 300, 180)) {
-      erases.push_back({e.src, e.dst});
-    }
-    const std::uint64_t removed = pipelined.delete_edges(erases);
-    EXPECT_EQ(removed, single_buffer.delete_edges(erases));
-    EXPECT_EQ(removed, oracle.delete_edges(erases));
-    expect_identical(pipelined, oracle);
+    const std::vector<Edge> erases =
+        pairs_of(skewed_batch(seed + 50 + round, 300, 180));
+    const std::uint64_t removed = model.erase(erases);
+    EXPECT_EQ(pipelined.delete_edges(erases), removed);
+    EXPECT_EQ(single_buffer.delete_edges(erases), removed);
+    expect_matches_model(pipelined, model);
+    expect_matches_model(single_buffer, model);
 
-    std::vector<Edge> queries;
-    for (const auto& e : random_batch(seed + 90 + round, 400, 220)) {
-      queries.push_back({e.src, e.dst});
-    }
-    std::vector<std::uint8_t> out_pipelined(queries.size(), 2);
-    std::vector<std::uint8_t> out_oracle(queries.size(), 2);
-    pipelined.edges_exist(queries, out_pipelined.data());
-    oracle.edges_exist(queries, out_oracle.data());
-    EXPECT_EQ(out_pipelined, out_oracle);
+    const std::vector<Edge> queries =
+        pairs_of(random_batch(seed + 90 + round, 400, 220));
+    std::vector<std::uint8_t> out(queries.size(), 2);
+    pipelined.edges_exist(queries, out.data());
+    EXPECT_EQ(out, model.exist(queries));
   }
 }
 
@@ -139,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Widths, PipelineThreadSweep,
 TEST(PipelineDedup, MostRecentWinsAcrossEpochBoundaries) {
   // Duplicates of (5, 9) land in different epochs (epoch size 8); the
   // epoch fence must resolve them exactly as one unsplit batch would.
-  DynGraphMap g(pipeline_config(false, 2, 8, true));
+  DynGraphMap g(pipeline_config(false, 2, 8));
   std::vector<WeightedEdge> batch;
   for (Weight w = 1; w <= 40; ++w) batch.push_back({5, 9, w});
   batch.push_back({5, 10, 7});
@@ -156,19 +142,19 @@ TEST(PipelineDedup, SkewedDuplicatesDeterministicAcrossShardCounts) {
   // every occurrence of a (vertex, key) pair lands in the one shard owning
   // the vertex, so per-shard dedup is exhaustive by construction.
   const auto batch = skewed_batch(99, 3000, 64);
-  DynGraphMap reference(pipeline_config(true, 1, 0, false));
-  reference.insert_edges(batch);
-  for (const std::uint32_t shards : {2u, 4u, 8u}) {
+  ReferenceGraph model(/*undirected=*/true);
+  model.insert(batch);
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     for (const std::uint32_t epoch : {0u, 128u}) {
-      DynGraphMap sharded(pipeline_config(true, shards, epoch, true));
+      DynGraphMap sharded(pipeline_config(true, shards, epoch));
       sharded.insert_edges(batch);
-      expect_identical(sharded, reference);
+      expect_matches_model(sharded, model);
     }
   }
 }
 
 TEST(PipelineStats, ForcedEpochsReportStageAndApplyTime) {
-  DynGraphMap g(pipeline_config(false, 2, 64, true));
+  DynGraphMap g(pipeline_config(false, 2, 64));
   const auto batch = random_batch(3, 1000, 128);
   g.insert_edges(batch);
   const BatchPipelineStats& stats = g.last_batch_stats();
@@ -199,7 +185,7 @@ TEST(ShardedStagingGuard, RunCrossingShardPartitionThrows) {
   ok.shard(0).group_prepare(true);
   ok.shard(1).group_prepare(true);
   EXPECT_NO_THROW(ok.validate_partition());
-  EXPECT_EQ(ok.finalize(/*merge_free=*/true, false, false), 0u);
+  ok.finalize(/*gather_values=*/false, /*gather_seqs=*/false);
   EXPECT_EQ(ok.front().keys.size(), 1u);
 }
 
@@ -207,38 +193,37 @@ TEST(ShardedStagingGuard, RunCrossingShardPartitionThrows) {
 // Batched weighted lookup (edge_weights)
 // ---------------------------------------------------------------------------
 
-TEST(EdgeWeights, MatchesPointLookupsEngineAndOracle) {
+TEST(EdgeWeights, MatchesPointLookupsAndModel) {
   const auto inserts = skewed_batch(7, 1500, 96);
-  for (const bool engine : {true, false}) {
-    GraphConfig cfg = engine ? pipeline_config(false, 2, 200, true)
-                             : oracle_config(false);
-    cfg.vertex_capacity = 96;
-    DynGraphMap g(cfg);
-    g.insert_edges(inserts);
+  GraphConfig cfg = pipeline_config(false, 2, 200);
+  cfg.vertex_capacity = 96;
+  DynGraphMap g(cfg);
+  ReferenceGraph model;
+  g.insert_edges(inserts);
+  model.insert(inserts);
 
-    std::vector<Edge> queries;
-    for (const auto& e : skewed_batch(8, 600, 128)) {  // hits + misses +
-      queries.push_back({e.src, e.dst});               // unknown sources
-    }
-    queries.push_back({5, 5});        // self-loop: never stored
-    queries.push_back({4000, 1});     // far out of range
-    std::vector<Weight> weights(queries.size(), 0xDEAD);
-    std::vector<std::uint8_t> found(queries.size(), 2);
-    g.edge_weights(queries, weights.data(), found.data());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto expect = g.edge_weight(queries[i].src, queries[i].dst);
-      EXPECT_EQ(found[i] != 0, expect.found) << "query " << i;
-      EXPECT_EQ(weights[i], expect.found ? expect.value : 0u) << "query " << i;
-    }
-    // The found pointer is optional.
-    std::vector<Weight> weights_only(queries.size(), 0xDEAD);
-    g.edge_weights(queries, weights_only.data());
-    EXPECT_EQ(weights, weights_only);
+  // Hits, misses, and unknown sources, plus two edge cases.
+  std::vector<Edge> queries = pairs_of(skewed_batch(8, 600, 128));
+  queries.push_back({5, 5});     // self-loop: never stored
+  queries.push_back({4000, 1});  // far out of range
+  std::vector<Weight> weights(queries.size(), 0xDEAD);
+  std::vector<std::uint8_t> found(queries.size(), 2);
+  g.edge_weights(queries, weights.data(), found.data());
+  EXPECT_EQ(found, model.exist(queries));
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expect = g.edge_weight(queries[i].src, queries[i].dst);
+    EXPECT_EQ(found[i] != 0, expect.found) << "query " << i;
+    EXPECT_EQ(weights[i], model.weight(queries[i].src, queries[i].dst))
+        << "query " << i;
   }
+  // The found pointer is optional.
+  std::vector<Weight> weights_only(queries.size(), 0xDEAD);
+  g.edge_weights(queries, weights_only.data());
+  EXPECT_EQ(weights, weights_only);
 }
 
 TEST(EdgeWeights, EmptyBatchIsNoop) {
-  DynGraphMap g(pipeline_config(false, 2, 0, true));
+  DynGraphMap g(pipeline_config(false, 2, 0));
   g.edge_weights({}, nullptr, nullptr);
 }
 
@@ -264,8 +249,8 @@ std::vector<WeightedEdge> hub_batch(std::uint32_t num_vertices,
 
 TEST(TargetedRehash, MatchesFullScanAndVisitsFewerTables) {
   const auto edges = hub_batch(400, 200);
-  DynGraphMap targeted(pipeline_config(false, 2, 0, true));
-  DynGraphMap full(pipeline_config(false, 2, 0, true));
+  DynGraphMap targeted(pipeline_config(false, 2, 0));
+  DynGraphMap full(pipeline_config(false, 2, 0));
   targeted.insert_edges(edges);
   full.insert_edges(edges);
 
@@ -295,7 +280,7 @@ TEST(TargetedRehash, MatchesFullScanAndVisitsFewerTables) {
 }
 
 TEST(TargetedRehash, FallsBackToFullScanBelowOneSlab) {
-  DynGraphMap g(pipeline_config(false, 1, 0, true));
+  DynGraphMap g(pipeline_config(false, 1, 0));
   g.insert_edges(hub_batch(50, 40));
   g.rehash_long_chains(0.5);  // sub-slab threshold: must sweep everything
   EXPECT_FALSE(g.last_rehash_stats().targeted);
@@ -320,14 +305,6 @@ TEST(TargetedRehash, FeedbackSaturatesInsteadOfGrowingUnbounded) {
   EXPECT_TRUE(global.saturated);
   global.clear();
   EXPECT_FALSE(global.saturated);
-}
-
-TEST(TargetedRehash, EngineOffAlwaysFullScans) {
-  DynGraphMap g(oracle_config(false));
-  g.insert_edges(hub_batch(50, 60));
-  const std::uint32_t rehashed = g.rehash_long_chains(1.0);
-  EXPECT_GT(rehashed, 0u);
-  EXPECT_FALSE(g.last_rehash_stats().targeted);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +336,7 @@ class ArenaPressureSweep : public ::testing::TestWithParam<unsigned> {
 /// graph equals the full batch minus the reported remainder, counters
 /// agree; (4) leave the graph serving queries and deletions.
 TEST_P(ArenaPressureSweep, ExhaustionSurfacesExactPartialBatchError) {
-  GraphConfig cfg = pipeline_config(false, 4, 96, true);
+  GraphConfig cfg = pipeline_config(false, 4, 96);
   cfg.vertex_capacity = 64;
   cfg.max_arena_chunks = 1;  // base slabs only: chain growth must fail
   int pressure_calls = 0;
@@ -421,7 +398,7 @@ TEST(ArenaPressure, RetryingTheReportedRemainderCompletesTheBatch) {
   // The contract PartialBatchError documents: insert(unapplied) on a graph
   // with headroom yields exactly the state a single successful insert of
   // the full batch would have produced.
-  GraphConfig tight = pipeline_config(false, 2, 128, true);
+  GraphConfig tight = pipeline_config(false, 2, 128);
   tight.vertex_capacity = 64;
   tight.max_arena_chunks = 1;
   DynGraphMap g(tight);
@@ -456,29 +433,6 @@ TEST(ArenaPressure, RetryingTheReportedRemainderCompletesTheBatch) {
   healed.insert_edges(committed);
   healed.insert_edges(retry);
   expect_identical(healed, fresh);
-}
-
-TEST(ArenaPressure, InlineEngineOffPathAlsoDegradesGracefully) {
-  // The scalar (batch_engine = false) path reaches the arena through the
-  // same typed error: exhaustion must not corrupt counters there either.
-  GraphConfig cfg = oracle_config(false);
-  cfg.vertex_capacity = 64;
-  cfg.max_arena_chunks = 1;
-  DynGraphMap g(cfg);
-  try {
-    SerialOracleScope serial;
-    g.insert_edges(hub_chain_batch(2000));
-    FAIL() << "expected exhaustion";
-  } catch (const PartialBatchError& e) {
-    EXPECT_EQ(e.applied(), g.num_edges());
-  } catch (const memory::ArenaExhausted&) {
-    // The scalar path may surface the raw arena error; counters must
-    // still be exact (checked below via a probe insert).
-  }
-  const std::uint64_t settled = g.num_edges();
-  const std::vector<Edge> miss{{2, 3}};
-  EXPECT_EQ(g.delete_edges(miss), 0u);
-  EXPECT_EQ(g.num_edges(), settled);
 }
 
 }  // namespace

@@ -3,12 +3,11 @@
 //
 //   * edges_exist / edge_weights split into double-buffered epochs (stage of
 //     query slice N+1 overlaps the bulk searches of slice N) and must agree
-//     with scalar point lookups across shard counts, epoch sizes, pool
-//     widths, and both staging assemblies (merge-free and the legacy
-//     copying merge);
-//   * merge-free staging must be byte-equivalent to the copying merge, obey
-//     the count/place two-pass invariant, report zero driver-side copy, and
-//     keep the shard-partition guard armed;
+//     with the reference model across shard counts, epoch sizes, and pool
+//     widths;
+//   * merge-free staging must keep mutations equal to the model, obey the
+//     count/place two-pass invariant, assemble exactly what each shard's
+//     fused grouping produces, and keep the shard-partition guard armed;
 //   * bulk searches must feed observed chain lengths into ChainFeedback
 //     exactly as mutations do, and the GraphConfig::auto_rehash_p99_slabs
 //     policy must fire rehash_long_chains without user calls while
@@ -32,25 +31,13 @@ namespace {
 using namespace testutil;
 
 GraphConfig engine_config(std::uint32_t shards, std::uint32_t epoch_edges,
-                          bool merge_free, bool undirected = false) {
+                          bool undirected = false) {
   GraphConfig cfg;
   cfg.vertex_capacity = 256;
   cfg.undirected = undirected;
-  cfg.batch_engine = true;
   cfg.stage_shards = shards;
   cfg.pipeline_epoch_edges = epoch_edges;
-  cfg.double_buffer = true;
-  cfg.merge_free = merge_free;
   cfg.auto_rehash_p99_slabs = 0.0;  // rehash timing is pinned per test
-  return cfg;
-}
-
-GraphConfig oracle_config(bool undirected = false) {
-  GraphConfig cfg;
-  cfg.vertex_capacity = 256;
-  cfg.undirected = undirected;
-  cfg.batch_engine = false;
-  cfg.auto_rehash_p99_slabs = 0.0;
   return cfg;
 }
 
@@ -73,39 +60,26 @@ class QueryPipelineThreadSweep : public ::testing::TestWithParam<unsigned> {
   void TearDown() override { simt::ThreadPool::instance().resize(0); }
 };
 
-/// Drives edges_exist through the pipelined engine across shard counts,
-/// epoch sizes, and both staging assemblies; every answer must equal the
-/// scalar point lookup.
+/// Drives edges_exist through the pipelined engine across shard counts and
+/// epoch sizes; every answer must equal the reference model's.
 template <class Policy>
 void run_exist_differential(bool undirected, std::uint64_t seed) {
   const auto inserts = random_batch(seed, 1500, 160);
-  DynGraph<Policy> oracle(oracle_config(undirected));
-  oracle.insert_edges(inserts);
+  ReferenceGraph model(undirected);
+  model.insert(inserts);
   const auto queries = query_batch(seed + 1, 900, 160);
-
-  std::vector<std::uint8_t> expected(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    expected[i] = oracle.edge_exists(queries[i].src, queries[i].dst) ? 1 : 0;
-  }
+  const std::vector<std::uint8_t> expected = model.exist(queries);
 
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     for (const std::uint32_t epoch : {0u, 128u}) {
-      for (const bool merge_free : {true, false}) {
-        DynGraph<Policy> g(engine_config(shards, epoch, merge_free,
-                                         undirected));
-        g.insert_edges(inserts);
-        std::vector<std::uint8_t> out(queries.size(), 2);
-        g.edges_exist(queries, out.data());
-        EXPECT_EQ(out, expected)
-            << "shards=" << shards << " epoch=" << epoch
-            << " merge_free=" << merge_free;
-        if (epoch != 0) {
-          // 900 queries at epoch 128: the pipeline really split.
-          EXPECT_EQ(g.last_query_stats().epochs, (900 + 127) / 128);
-        }
-        if (merge_free) {
-          EXPECT_EQ(g.last_query_stats().merge_copy_bytes, 0u);
-        }
+      DynGraph<Policy> g(engine_config(shards, epoch, undirected));
+      g.insert_edges(inserts);
+      std::vector<std::uint8_t> out(queries.size(), 2);
+      g.edges_exist(queries, out.data());
+      EXPECT_EQ(out, expected) << "shards=" << shards << " epoch=" << epoch;
+      if (epoch != 0) {
+        // 900 queries at epoch 128: the pipeline really split.
+        EXPECT_EQ(g.last_query_stats().epochs, (900 + 127) / 128);
       }
     }
   }
@@ -123,8 +97,10 @@ TEST_P(QueryPipelineThreadSweep, SetDirectedExist) {
 
 TEST_P(QueryPipelineThreadSweep, MapWeightsPipelinedMatchPointLookups) {
   const auto inserts = random_batch(31, 1500, 160);
-  DynGraphMap g(engine_config(2, 100, true));
+  DynGraphMap g(engine_config(2, 100));
+  ReferenceGraph model;
   g.insert_edges(inserts);
+  model.insert(inserts);
   auto queries = query_batch(32, 1100, 160);
   queries.push_back({5, 5});     // self-loop: never stored
   queries.push_back({4000, 1});  // far out of range
@@ -136,7 +112,10 @@ TEST_P(QueryPipelineThreadSweep, MapWeightsPipelinedMatchPointLookups) {
     const auto expect = g.edge_weight(queries[i].src, queries[i].dst);
     ASSERT_EQ(found[i] != 0, expect.found) << "query " << i;
     ASSERT_EQ(weights[i], expect.found ? expect.value : 0u) << "query " << i;
+    ASSERT_EQ(weights[i], model.weight(queries[i].src, queries[i].dst))
+        << "query " << i;
   }
+  EXPECT_EQ(found, model.exist(queries));
   // The found pointer stays optional on the pipelined path.
   std::vector<Weight> weights_only(queries.size(), 0xDEAD);
   g.edge_weights(queries, weights_only.data());
@@ -144,7 +123,7 @@ TEST_P(QueryPipelineThreadSweep, MapWeightsPipelinedMatchPointLookups) {
 }
 
 TEST_P(QueryPipelineThreadSweep, ForcedEpochsReportQueryStats) {
-  DynGraphMap g(engine_config(2, 100, true));
+  DynGraphMap g(engine_config(2, 100));
   g.insert_edges(random_batch(41, 2000, 128));
   const auto queries = query_batch(42, 1000, 128);
   std::vector<std::uint8_t> out(queries.size());
@@ -155,7 +134,6 @@ TEST_P(QueryPipelineThreadSweep, ForcedEpochsReportQueryStats) {
   EXPECT_GT(stats.stage_seconds, 0.0);
   EXPECT_GT(stats.apply_seconds, 0.0);
   EXPECT_GE(stats.overlap_seconds, 0.0);
-  EXPECT_EQ(stats.merge_copy_bytes, 0u);  // merge-free: zero driver copy
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, QueryPipelineThreadSweep,
@@ -165,29 +143,20 @@ INSTANTIATE_TEST_SUITE_P(Widths, QueryPipelineThreadSweep,
 // Merge-free staging
 // ---------------------------------------------------------------------------
 
-TEST(MergeFreeStaging, DifferentialVsCopyingMergeAcrossShardsAndEpochs) {
-  // The same interleaved mutation stream must produce bit-identical graphs
-  // whether shard output is assembled merge-free or through the copying
-  // merge — and only the latter may report driver-copied bytes.
+TEST(MergeFreeStaging, MatchesModelAcrossShardsAndEpochs) {
+  // The same interleaved mutation stream, assembled from 2-8 shards in one
+  // or several epochs, must land on exactly the model's graph.
   const auto inserts = random_batch(51, 3000, 96);
-  std::vector<Edge> erases;
-  for (const auto& e : random_batch(52, 1200, 96)) {
-    erases.push_back({e.src, e.dst});
-  }
+  const std::vector<Edge> erases = pairs_of(random_batch(52, 1200, 96));
+  ReferenceGraph model(/*undirected=*/true);
+  const std::uint64_t added = model.insert(inserts);
+  const std::uint64_t removed = model.erase(erases);
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
     for (const std::uint32_t epoch : {0u, 150u}) {
-      DynGraphMap free_graph(engine_config(shards, epoch, true, true));
-      DynGraphMap copy_graph(engine_config(shards, epoch, false, true));
-      EXPECT_EQ(free_graph.insert_edges(inserts),
-                copy_graph.insert_edges(inserts));
-      EXPECT_EQ(free_graph.last_batch_stats().merge_copy_bytes, 0u)
-          << "merge-free staging must not copy on the driver";
-      EXPECT_GT(copy_graph.last_batch_stats().merge_copy_bytes, 0u)
-          << "the legacy merge is the copying reference";
-      EXPECT_EQ(free_graph.delete_edges(erases),
-                copy_graph.delete_edges(erases));
-      EXPECT_EQ(graph_edges(free_graph), graph_edges(copy_graph))
-          << "shards=" << shards << " epoch=" << epoch;
+      DynGraphMap g(engine_config(shards, epoch, /*undirected=*/true));
+      EXPECT_EQ(g.insert_edges(inserts), added);
+      EXPECT_EQ(g.delete_edges(erases), removed);
+      expect_matches_model(g, model);
     }
   }
 }
@@ -218,7 +187,7 @@ TEST(MergeFreeStaging, CountPlaceInvariantHoldsPerShard) {
     duplicates += staged.shard(s).duplicates;
   }
   EXPECT_EQ(counted_keys + duplicates, pushed);
-  EXPECT_EQ(staged.finalize(/*merge_free=*/true, false, false), 0u);
+  staged.finalize(/*gather_values=*/false, /*gather_seqs=*/false);
   const BatchStaging& front = staged.front();
   EXPECT_EQ(front.runs.size(), counted_runs);
   EXPECT_EQ(front.keys.size(), counted_keys);
@@ -237,32 +206,42 @@ TEST(MergeFreeStaging, CountPlaceInvariantHoldsPerShard) {
   }
 }
 
-TEST(MergeFreeStaging, FinalizeAssembliesAgree) {
-  // finalize(merge_free) and finalize(copying) must produce identical
-  // front() views from identically staged shards.
+TEST(MergeFreeStaging, FinalizeMatchesFusedPerShardGrouping) {
+  // The two-pass assembly must equal each shard's fused single-pass
+  // group() output laid end to end in shard order: same keys, same runs,
+  // offsets shifted by the preceding shards' key counts.
   const slabhash::TableRef table{0, 4};
-  ShardedStaging a;
-  ShardedStaging b;
-  for (ShardedStaging* st : {&a, &b}) {
-    st->resize(2);
-    util::Xoshiro256 rng(13);
-    for (int i = 0; i < 500; ++i) {
-      const VertexId src = static_cast<VertexId>(rng.below(32));
-      st->shard(shard_of_vertex(src, 2))
-          .push(src, static_cast<std::uint32_t>(rng.below(25)), table, 5);
-    }
-    for (std::uint32_t s = 0; s < 2; ++s) {
-      st->shard(s).group_prepare(/*dedup=*/true);
-    }
+  ShardedStaging staged;
+  staged.resize(2);
+  BatchStaging fused[2];
+  util::Xoshiro256 rng(13);
+  for (int i = 0; i < 500; ++i) {
+    const VertexId src = static_cast<VertexId>(rng.below(32));
+    const auto key = static_cast<std::uint32_t>(rng.below(25));
+    const std::uint32_t s = shard_of_vertex(src, 2);
+    staged.shard(s).push(src, key, table, 5);
+    fused[s].push(src, key, table, 5);
   }
-  EXPECT_EQ(a.finalize(/*merge_free=*/true, false, false), 0u);
-  EXPECT_GT(b.finalize(/*merge_free=*/false, false, false), 0u);
-  EXPECT_EQ(a.front().keys, b.front().keys);
-  EXPECT_EQ(a.front().run_offsets, b.front().run_offsets);
-  ASSERT_EQ(a.front().runs.size(), b.front().runs.size());
-  for (std::size_t r = 0; r < a.front().runs.size(); ++r) {
-    EXPECT_EQ(a.front().runs[r].src, b.front().runs[r].src);
-    EXPECT_EQ(a.front().runs[r].bucket, b.front().runs[r].bucket);
+  std::vector<std::uint32_t> keys;
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::pair<VertexId, std::uint32_t>> runs;
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    staged.shard(s).group_prepare(/*dedup=*/true);
+    fused[s].group(/*dedup=*/true, false, false);
+    for (std::size_t r = 0; r < fused[s].runs.size(); ++r) {
+      runs.push_back({fused[s].runs[r].src, fused[s].runs[r].bucket});
+      offsets.push_back(keys.size() + fused[s].run_offsets[r]);
+    }
+    keys.insert(keys.end(), fused[s].keys.begin(), fused[s].keys.end());
+  }
+  offsets.push_back(keys.size());
+  staged.finalize(/*gather_values=*/false, /*gather_seqs=*/false);
+  EXPECT_EQ(staged.front().keys, keys);
+  EXPECT_EQ(staged.front().run_offsets, offsets);
+  ASSERT_EQ(staged.front().runs.size(), runs.size());
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    EXPECT_EQ(staged.front().runs[r].src, runs[r].first);
+    EXPECT_EQ(staged.front().runs[r].bucket, runs[r].second);
   }
 }
 
@@ -304,7 +283,7 @@ std::vector<WeightedEdge> hub_batch(std::uint32_t hubs,
 }
 
 TEST(QueryChainFeedback, BulkSearchesFeedTheHistogram) {
-  GraphConfig cfg = engine_config(2, 0, true);
+  GraphConfig cfg = engine_config(2, 0);
   cfg.vertex_capacity = 2048;
   DynGraphMap g(cfg);
   g.insert_edges(hub_batch(3, 200, 60));
@@ -339,7 +318,7 @@ TEST(AutoRehash, FiresWithoutUserCallsAndPreservesContent) {
   // >1% of runs walk chains >= 4 slabs => the p99 policy must fire during
   // insert_edges itself.
   const auto edges = hub_batch(40, 80, 200);
-  GraphConfig auto_cfg = engine_config(2, 0, true);
+  GraphConfig auto_cfg = engine_config(2, 0);
   auto_cfg.vertex_capacity = 2048;
   auto_cfg.auto_rehash_p99_slabs = 4.0;
   GraphConfig manual_cfg = auto_cfg;
@@ -366,7 +345,7 @@ TEST(AutoRehash, TailFractionKnobControlsTheTrigger) {
   // — the knob, not a hard-wired 1%, decides.
   const auto edges = hub_batch(40, 80, 200);
   for (const double frac : {0.01, 0.5}) {
-    GraphConfig cfg = engine_config(2, 0, true);
+    GraphConfig cfg = engine_config(2, 0);
     cfg.vertex_capacity = 2048;
     cfg.auto_rehash_p99_slabs = 4.0;
     cfg.auto_rehash_tail_frac = frac;
@@ -394,7 +373,7 @@ TEST(AutoRehash, TailFractionIsValidatedAtConstruction) {
 }
 
 TEST(AutoRehash, StaysQuietOnUniformWorkloads) {
-  GraphConfig cfg = engine_config(2, 0, true);
+  GraphConfig cfg = engine_config(2, 0);
   cfg.auto_rehash_p99_slabs = 4.0;
   DynGraphMap g(cfg);
   g.insert_edges(random_batch(61, 2000, 200));  // short chains everywhere
@@ -405,7 +384,7 @@ TEST(AutoRehash, QueriesInformButNeverFireThePolicy) {
   // Queries feed the histogram but must not fire the (mutating) policy
   // themselves — the phase-concurrent model keeps query phases read-only.
   // The accumulated query observations DO count at the next mutation.
-  GraphConfig cfg = engine_config(1, 0, true);
+  GraphConfig cfg = engine_config(1, 0);
   cfg.vertex_capacity = 2048;
   cfg.auto_rehash_p99_slabs = 4.0;
   DynGraphMap g(cfg);

@@ -1,14 +1,14 @@
 // Cross-shard differential suite of the multi-shard serving tier
-// (src/shard/): ShardedGraph against a single-DynGraph oracle across
+// (src/shard/): ShardedGraph against the reference model across
 // shard counts 1/2/4/8, map and set variants, directed and undirected,
 // on uniform-random and power-law-skewed batches — plus the TSan-raced
 // multi-submitter tests that pin the multi-graph conductor's
 // epoch-consistent cross-shard analytics and its shutdown semantics.
 //
-// The oracle equivalence is structural: a tier and a single graph fed the
-// same client batches must hold the SAME edge multiset (the tier's union
-// of per-shard adjacencies equals the oracle's), the same num_edges, and
-// the same per-vertex degrees — for any shard count, because routing by
+// The model equivalence is structural: a tier and the model fed the same
+// client batches must hold the SAME edge multiset (the tier's union of
+// per-shard adjacencies equals the model's), the same num_edges, and the
+// same per-vertex degrees — for any shard count, because routing by
 // owner(src) moves rows between instances without changing what is
 // stored.
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@
 namespace sg::shard {
 namespace {
 
-using core::DynGraph;
 using core::Edge;
 using core::GraphConfig;
 using core::MapPolicy;
@@ -42,8 +41,10 @@ using core::SetPolicy;
 using core::VertexId;
 using core::Weight;
 using core::WeightedEdge;
+using core::testutil::EdgeSet;
 using core::testutil::graph_edges;
 using core::testutil::random_batch;
+using core::testutil::ReferenceGraph;
 
 constexpr std::uint32_t kVertices = 2048;
 
@@ -64,9 +65,8 @@ ShardedGraph<Policy> make_tier(std::uint32_t shards, bool undirected) {
 
 /// Union of the per-shard edge multisets — the tier-wide stored state.
 template <class Policy>
-std::multiset<std::tuple<VertexId, VertexId, Weight>> tier_edges(
-    const ShardedGraph<Policy>& tier) {
-  std::multiset<std::tuple<VertexId, VertexId, Weight>> edges;
+EdgeSet tier_edges(const ShardedGraph<Policy>& tier) {
+  EdgeSet edges;
   for (std::uint32_t s = 0; s < tier.shard_count(); ++s) {
     const auto shard = graph_edges(tier.shard(s));
     edges.insert(shard.begin(), shard.end());
@@ -75,14 +75,24 @@ std::multiset<std::tuple<VertexId, VertexId, Weight>> tier_edges(
 }
 
 template <class Policy>
-void expect_tier_equals_oracle(const ShardedGraph<Policy>& tier,
-                               const DynGraph<Policy>& oracle) {
-  ASSERT_EQ(tier.num_edges(), oracle.num_edges());
-  for (VertexId u = 0; u < oracle.vertex_capacity(); ++u) {
-    ASSERT_EQ(tier.degree(u), oracle.degree(u))
-        << "degree mismatch at vertex " << u;
+void expect_tier_matches_model(const ShardedGraph<Policy>& tier,
+                               const ReferenceGraph& model) {
+  ASSERT_EQ(tier.num_edges(), model.num_edges());
+  for (const auto& [u, nbrs] : model.adjacency()) {
+    ASSERT_EQ(tier.degree(u), nbrs.size()) << "degree mismatch at vertex " << u;
   }
-  EXPECT_EQ(tier_edges(tier), graph_edges(oracle));
+  EXPECT_EQ(tier_edges(tier), model.edges(Policy::kHasValues));
+}
+
+/// The model's edge_weights answers: weights (0 on a miss), found flags.
+core::EdgeWeightBatch model_weights(const ReferenceGraph& model,
+                                    const std::vector<Edge>& queries) {
+  core::EdgeWeightBatch out;
+  out.found = model.exist(queries);
+  for (const Edge& q : queries) {
+    out.weights.push_back(model.weight(q.src, q.dst));
+  }
+  return out;
 }
 
 std::vector<Edge> strip(const std::vector<WeightedEdge>& batch) {
@@ -162,24 +172,24 @@ TEST(BatchRouter, QuerySeqNumbersAddressInputPositions) {
   }
 }
 
-// ---- differential: tier vs single-graph oracle -----------------------------
+// ---- differential: tier vs the reference model -----------------------------
 
 template <class Policy>
 void run_differential(bool undirected) {
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     ShardedGraph<Policy> tier = make_tier<Policy>(shards, undirected);
-    DynGraph<Policy> oracle(tier_config(undirected));
+    ReferenceGraph model(undirected);
     std::uint64_t seed = 1000 + shards + (undirected ? 77 : 0);
     for (int round = 0; round < 4; ++round) {
       const auto batch = random_batch(seed++, 3000, kVertices);
-      ASSERT_EQ(tier.insert_edges(batch), oracle.insert_edges(batch));
+      ASSERT_EQ(tier.insert_edges(batch), model.insert(batch));
       // Erase a slice of the round's batch plus some never-inserted pairs.
       const auto plain = strip(batch);
       std::vector<Edge> erase(plain.begin(), plain.begin() + 700);
       const auto missing = random_batch(seed++, 300, kVertices);
       for (const auto& e : missing) erase.push_back({e.src, e.dst});
-      ASSERT_EQ(tier.delete_edges(erase), oracle.delete_edges(erase));
-      expect_tier_equals_oracle(tier, oracle);
+      ASSERT_EQ(tier.delete_edges(erase), model.erase(erase));
+      expect_tier_matches_model(tier, model);
     }
   }
 }
@@ -201,13 +211,13 @@ TEST(ShardedDifferential, PowerLawSkewAcrossShardCounts) {
   for (std::uint32_t shards : {2u, 4u, 8u}) {
     for (bool undirected : {false, true}) {
       auto tier = make_tier<MapPolicy>(shards, undirected);
-      DynGraph<MapPolicy> oracle(tier_config(undirected));
+      ReferenceGraph model(undirected);
       std::uint64_t seed = 4242 + shards;
       for (int round = 0; round < 3; ++round) {
         const auto batch = power_law_batch(seed++, 4000, kVertices);
-        ASSERT_EQ(tier.insert_edges(batch), oracle.insert_edges(batch));
+        ASSERT_EQ(tier.insert_edges(batch), model.insert(batch));
       }
-      expect_tier_equals_oracle(tier, oracle);
+      expect_tier_matches_model(tier, model);
       // The skew materialized: the router saw an uneven shard split.
       const RouterStats rs = tier.router_stats();
       const auto [lo, hi] = std::minmax_element(rs.per_shard_items.begin(),
@@ -220,12 +230,12 @@ TEST(ShardedDifferential, PowerLawSkewAcrossShardCounts) {
 TEST(ShardedDifferential, CrossShardDuplicatesMostRecentWins) {
   // The same (u, v) pair repeated within one batch and across batches,
   // with distinct weights: the tier must resolve to the LAST write exactly
-  // like the oracle, for pairs whose two orientations land on different
+  // like the model, for pairs whose two orientations land on different
   // shards (undirected) as well as duplicates within one shard.
   for (std::uint32_t shards : {2u, 4u, 8u}) {
     for (bool undirected : {false, true}) {
       auto tier = make_tier<MapPolicy>(shards, undirected);
-      DynGraph<MapPolicy> oracle(tier_config(undirected));
+      ReferenceGraph model(undirected);
       std::vector<WeightedEdge> first;
       for (VertexId u = 0; u < 64; ++u) {
         for (VertexId k = 1; k <= 4; ++k) {
@@ -236,15 +246,15 @@ TEST(ShardedDifferential, CrossShardDuplicatesMostRecentWins) {
                            static_cast<Weight>(200 + u)});
         }
       }
-      ASSERT_EQ(tier.insert_edges(first), oracle.insert_edges(first));
+      ASSERT_EQ(tier.insert_edges(first), model.insert(first));
       // Cross-batch overwrite of half the pairs.
       std::vector<WeightedEdge> second;
       for (std::size_t i = 0; i < first.size(); i += 4) {
         second.push_back({first[i].src, first[i].dst,
                           static_cast<Weight>(900 + (i % 50))});
       }
-      ASSERT_EQ(tier.insert_edges(second), oracle.insert_edges(second));
-      expect_tier_equals_oracle(tier, oracle);
+      ASSERT_EQ(tier.insert_edges(second), model.insert(second));
+      expect_tier_matches_model(tier, model);
     }
   }
 }
@@ -252,24 +262,24 @@ TEST(ShardedDifferential, CrossShardDuplicatesMostRecentWins) {
 TEST(ShardedDifferential, EraseReinsertChurn) {
   for (bool undirected : {false, true}) {
     auto tier = make_tier<MapPolicy>(4, undirected);
-    DynGraph<MapPolicy> oracle(tier_config(undirected));
+    ReferenceGraph model(undirected);
     std::uint64_t seed = 99;
     const auto base = random_batch(seed++, 2500, kVertices);
-    ASSERT_EQ(tier.insert_edges(base), oracle.insert_edges(base));
+    ASSERT_EQ(tier.insert_edges(base), model.insert(base));
     for (int round = 0; round < 3; ++round) {
       // Erase a rotating third, then reinsert it with fresh weights.
       std::vector<Edge> victims;
       for (std::size_t i = round; i < base.size(); i += 3) {
         victims.push_back({base[i].src, base[i].dst});
       }
-      ASSERT_EQ(tier.delete_edges(victims), oracle.delete_edges(victims));
+      ASSERT_EQ(tier.delete_edges(victims), model.erase(victims));
       std::vector<WeightedEdge> reinsert;
       for (const Edge& e : victims) {
         reinsert.push_back(
             {e.src, e.dst, static_cast<Weight>(5000 + round)});
       }
-      ASSERT_EQ(tier.insert_edges(reinsert), oracle.insert_edges(reinsert));
-      expect_tier_equals_oracle(tier, oracle);
+      ASSERT_EQ(tier.insert_edges(reinsert), model.insert(reinsert));
+      expect_tier_matches_model(tier, model);
     }
   }
 }
@@ -277,10 +287,10 @@ TEST(ShardedDifferential, EraseReinsertChurn) {
 TEST(ShardedDifferential, ScatterGatherAnswersInInputOrder) {
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
     auto tier = make_tier<MapPolicy>(shards, false);
-    DynGraph<MapPolicy> oracle(tier_config(false));
+    ReferenceGraph model;
     const auto batch = random_batch(7777, 3000, kVertices);
     tier.insert_edges(batch);
-    oracle.insert_edges(batch);
+    model.insert(batch);
     // Queries mix present and absent pairs in interleaved input order.
     std::vector<Edge> queries;
     const auto absent = random_batch(8888, batch.size(), kVertices);
@@ -289,18 +299,15 @@ TEST(ShardedDifferential, ScatterGatherAnswersInInputOrder) {
       queries.push_back({absent[i].src, absent[i].dst});
     }
     std::vector<std::uint8_t> got(queries.size(), 0);
-    std::vector<std::uint8_t> want(queries.size(), 0);
     tier.edges_exist(queries, got.data());
-    oracle.edges_exist(queries, want.data());
-    ASSERT_EQ(got, want);
+    ASSERT_EQ(got, model.exist(queries));
 
-    std::vector<Weight> got_w(queries.size(), 0), want_w(queries.size(), 0);
-    std::vector<std::uint8_t> got_f(queries.size(), 0),
-        want_f(queries.size(), 0);
+    std::vector<Weight> got_w(queries.size(), 0);
+    std::vector<std::uint8_t> got_f(queries.size(), 0);
     tier.edge_weights(queries, got_w.data(), got_f.data());
-    oracle.edge_weights(queries, want_w.data(), want_f.data());
-    EXPECT_EQ(got_w, want_w);
-    EXPECT_EQ(got_f, want_f);
+    const core::EdgeWeightBatch want = model_weights(model, queries);
+    EXPECT_EQ(got_w, want.weights);
+    EXPECT_EQ(got_f, want.found);
   }
 }
 
@@ -309,32 +316,27 @@ TEST(ShardedDifferential, ScatterGatherAnswersInInputOrder) {
 TEST(ShardedScheduled, SubmittedBatchesMatchOracleAndCounts) {
   for (bool undirected : {false, true}) {
     auto tier = make_tier<MapPolicy>(4, undirected);
-    DynGraph<MapPolicy> oracle(tier_config(undirected));
+    ReferenceGraph model(undirected);
     std::uint64_t seed = 31337;
     for (int round = 0; round < 3; ++round) {
       auto batch = random_batch(seed++, 2000, kVertices);
       // Waiting each future before the next submission pins exact counts
       // (no cross-batch coalescing inside any shard's scheduler).
       const std::uint64_t tier_count = tier.submit_insert(batch).get();
-      ASSERT_EQ(tier_count, oracle.insert_edges(batch));
+      ASSERT_EQ(tier_count, model.insert(batch));
       const auto plain = strip(batch);
       std::vector<Edge> erase(plain.begin(), plain.begin() + 500);
-      ASSERT_EQ(tier.submit_erase(erase).get(), oracle.delete_edges(erase));
+      ASSERT_EQ(tier.submit_erase(erase).get(), model.erase(erase));
     }
     tier.drain();
-    expect_tier_equals_oracle(tier, oracle);
+    expect_tier_matches_model(tier, model);
 
     const auto queries = strip(random_batch(seed++, 1500, kVertices));
-    const auto got = tier.submit_edges_exist(queries).get();
-    std::vector<std::uint8_t> want(queries.size(), 0);
-    oracle.edges_exist(queries, want.data());
-    EXPECT_EQ(got, want);
+    EXPECT_EQ(tier.submit_edges_exist(queries).get(), model.exist(queries));
     const auto weights = tier.submit_edge_weights(queries).get();
-    std::vector<Weight> want_w(queries.size(), 0);
-    std::vector<std::uint8_t> want_f(queries.size(), 0);
-    oracle.edge_weights(queries, want_w.data(), want_f.data());
-    EXPECT_EQ(weights.weights, want_w);
-    EXPECT_EQ(weights.found, want_f);
+    const core::EdgeWeightBatch want = model_weights(model, queries);
+    EXPECT_EQ(weights.weights, want.weights);
+    EXPECT_EQ(weights.found, want.found);
 
     const TierStats ts = tier.tier_stats();
     EXPECT_EQ(ts.tier_mutations, 6u);
@@ -343,26 +345,18 @@ TEST(ShardedScheduled, SubmittedBatchesMatchOracleAndCounts) {
   }
 }
 
-TEST(ShardedScheduled, InlineModeMatchesScheduledMode) {
-  ShardConfig inline_cfg;
-  inline_cfg.shard_count = 4;
-  inline_cfg.graph = tier_config(true);
-  inline_cfg.graph.phase_scheduler = false;  // differential reference
-  ShardedGraph<MapPolicy> inline_tier(std::move(inline_cfg));
+TEST(ShardedScheduled, UndirectedSubmitAndAnalyticsMatchModel) {
   auto scheduled = make_tier<MapPolicy>(4, true);
+  ReferenceGraph model(/*undirected=*/true);
 
   const auto batch = random_batch(555, 3000, kVertices);
-  const std::uint64_t a = inline_tier.submit_insert(batch).get();
-  const std::uint64_t b = scheduled.submit_insert(batch).get();
-  EXPECT_EQ(a, b);
-  std::atomic<std::uint64_t> inline_count{0}, scheduled_count{0};
-  inline_tier.submit_analytics(
-      [&] { inline_count = inline_tier.num_edges(); }).get();
+  EXPECT_EQ(scheduled.submit_insert(batch).get(), model.insert(batch));
+  std::atomic<std::uint64_t> fenced_count{0};
   scheduled.submit_analytics(
-      [&] { scheduled_count = scheduled.num_edges(); }).get();
+      [&] { fenced_count = scheduled.num_edges(); }).get();
   scheduled.drain();
-  EXPECT_EQ(inline_count.load(), scheduled_count.load());
-  EXPECT_EQ(tier_edges(inline_tier), tier_edges(scheduled));
+  EXPECT_EQ(fenced_count.load(), model.num_edges());
+  expect_tier_matches_model(scheduled, model);
 }
 
 TEST(ShardedScheduled, CrossShardAnalyticsSeesEpochConsistentCut) {
@@ -432,9 +426,9 @@ TEST(ShardedScheduled, CrossShardAnalyticsSeesEpochConsistentCut) {
 TEST(ShardedScheduled, SixMixedSubmittersEqualSerializedExecution) {
   // 6 concurrent submitters of every kind against a 4-shard tier. The
   // mutation lanes own disjoint key ranges, so the final state is
-  // order-independent and must equal a serial replay into an oracle.
+  // order-independent and must equal a serial replay into the model.
   auto tier = make_tier<MapPolicy>(4, false);
-  DynGraph<MapPolicy> oracle(tier_config(false));
+  ReferenceGraph model;
   constexpr int kRounds = 10;
   constexpr std::size_t kBatch = 400;
 
@@ -505,14 +499,14 @@ TEST(ShardedScheduled, SixMixedSubmittersEqualSerializedExecution) {
     const bool erase_tail = base != 0;
     for (int r = 0; r < kRounds; ++r) {
       const auto batch = make_lane_batch(base, r);
-      oracle.insert_edges(batch);
+      model.insert(batch);
       if (erase_tail && r % 2 == 1) {
         const auto victims = strip(make_lane_batch(base, r - 1));
-        oracle.delete_edges(victims);
+        model.erase(victims);
       }
     }
   }
-  expect_tier_equals_oracle(tier, oracle);
+  expect_tier_matches_model(tier, model);
 }
 
 // ---- fences vs shutdown ----------------------------------------------------

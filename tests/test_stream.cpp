@@ -1,8 +1,9 @@
 // Temporal streaming: Dataset batch preparation, sliding-window aging
 // (DynGraph::delete_edges_older_than), arena compaction through the graph,
-// and the stream::Harness epoch loop — including the differential check
-// against a never-aged graph filtered by timestamp, and the scheduled
-// maintenance pipeline the TSan job races.
+// and the stream::Harness epoch loop — including the differential checks
+// against a never-aged graph filtered by timestamp and against the
+// reference model epoch by epoch, and the scheduled maintenance pipeline
+// the TSan job races.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,16 +15,15 @@
 #include "src/core/dyn_graph.hpp"
 #include "src/stream/harness.hpp"
 #include "src/stream/temporal.hpp"
+#include "tests/graph_test_util.hpp"
 
 namespace sg::stream {
 namespace {
 
-core::GraphConfig map_config(std::uint32_t capacity, bool undirected = false,
-                             bool scheduler = false) {
+core::GraphConfig map_config(std::uint32_t capacity, bool undirected = false) {
   core::GraphConfig cfg;
   cfg.vertex_capacity = capacity;
   cfg.undirected = undirected;
-  cfg.phase_scheduler = scheduler;
   return cfg;
 }
 
@@ -236,7 +236,7 @@ TEST(StreamDifferential, AgedGraphMatchesTimestampFilteredReference) {
   cfg.sort_mode = SortMode::kPresort;
   cfg.window_frac = 0.25;
   cfg.compact_every = 3;
-  cfg.graph = map_config(kVerts, false, /*scheduler=*/true);
+  cfg.graph = map_config(kVerts);
   Harness harness(ds, cfg);
   const auto epochs = harness.run();
   ASSERT_EQ(epochs.size(), ds.num_batches());
@@ -328,7 +328,7 @@ TEST(StreamHarness, AnalyticsHookRunsFencedEveryEpoch) {
   Dataset ds(stream, 800);
   HarnessConfig cfg;
   cfg.window_frac = 0.5;
-  cfg.graph = map_config(100, false, /*scheduler=*/true);
+  cfg.graph = map_config(100);
   Harness h(ds, cfg);
   std::vector<std::uint64_t> observed;
   const auto epochs = h.run(
@@ -415,7 +415,7 @@ TEST(StreamScheduled, CompactionDuringPendingSubmissions) {
   // between submissions: maintenance phases must fence correctly against
   // the queued mutations on either side. TSan runs this test in CI.
   const core::VertexId kVerts = 512;
-  core::DynGraphMap g(map_config(kVerts, false, /*scheduler=*/true));
+  core::DynGraphMap g(map_config(kVerts));
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<core::VertexId> pick(0, kVerts - 1);
 
@@ -448,27 +448,34 @@ TEST(StreamScheduled, CompactionDuringPendingSubmissions) {
   EXPECT_GT(probes_sum, 0u);
 }
 
-TEST(StreamScheduled, InlineModeMatchesScheduledMode) {
-  // The same epoch script through phase_scheduler=true and =false must
-  // land on identical graphs — inline_submit is the differential oracle.
+TEST(StreamScheduled, EpochScriptMatchesModel) {
+  // The harness's scheduled epoch script (ingest, age out, compact) must
+  // track the reference model epoch by epoch: new-edge and aged-out counts,
+  // live size, and finally the exact graph.
   const std::vector<TemporalEdge> stream = random_stream(6000, 128, 21);
   Dataset ds(stream, 750);
-  std::vector<std::uint64_t> live;
-  std::vector<std::uint64_t> aged_total;
-  for (const bool scheduled : {false, true}) {
-    HarnessConfig cfg;
-    cfg.window_frac = 0.25;
-    cfg.compact_every = 2;
-    cfg.graph = map_config(128, false, scheduled);
-    Harness h(ds, cfg);
-    const auto epochs = h.run();
-    live.push_back(h.graph().num_edges());
-    std::uint64_t aged = 0;
-    for (const auto& e : epochs) aged += e.aged_out;
-    aged_total.push_back(aged);
+  HarnessConfig cfg;
+  cfg.window_frac = 0.25;
+  cfg.compact_every = 2;
+  cfg.graph = map_config(128);
+  Harness h(ds, cfg);
+  const auto epochs = h.run();
+  ASSERT_EQ(epochs.size(), ds.num_batches());
+
+  core::testutil::ReferenceGraph model;
+  for (std::size_t b = 0; b < ds.num_batches(); ++b) {
+    EXPECT_EQ(epochs[b].inserted, model.insert(ds.batch(b, cfg.sort_mode)));
+    const core::Weight threshold = ds.timestamp_for_window(b, cfg.window_frac);
+    std::vector<core::Edge> expired;
+    for (const auto& [u, nbrs] : model.adjacency()) {
+      for (const auto& [v, ts] : nbrs) {
+        if (ts < threshold) expired.push_back({u, v});
+      }
+    }
+    EXPECT_EQ(epochs[b].aged_out, model.erase(expired)) << "epoch " << b;
+    EXPECT_EQ(epochs[b].live_edges, model.num_edges()) << "epoch " << b;
   }
-  EXPECT_EQ(live[0], live[1]);
-  EXPECT_EQ(aged_total[0], aged_total[1]);
+  core::testutil::expect_matches_model(h.graph(), model);
 }
 
 // ---------------------------------------------------------------------------
