@@ -114,8 +114,9 @@ UNGATED_NOISY_METRICS = [
     # cache, allocator arena, sanitizer shadow) — tracked for trend, the
     # gated flatness signal is steady_chunk_flatness.
     "steady_rss_bytes",
-    # Aging retirement rate: derived from the same wall clock as
-    # stream_epoch_rate (gated) but scaled by the window fraction swept.
+    # Aging retirement rate: aged edges over the summed aging-step time
+    # (EpochStats::age_seconds). Ungated: earlier points divided by the whole
+    # replay's wall clock, so they do not compare with this definition.
     "stream_aged_rate",
 ]
 DEFAULT_THRESHOLD = 0.10

@@ -19,7 +19,9 @@
 //
 // JSON metrics (tracked by bench/compare_bench.py):
 //   stream_epoch_rate{mode}       Medges/s through the full epoch cycle
-//   stream_aged_rate{mode}        Medges/s retired by window aging
+//   stream_aged_rate{mode}        Medges/s retired by window aging: aged
+//                                 edges over the summed aging-step time
+//                                 (EpochStats::age_seconds)
 //   steady_chunk_flatness         min/max live arena chunks over the steady
 //                                 tail — 1.0 = perfectly flat, gated like a
 //                                 rate (a DROP means memory is trending)
@@ -59,7 +61,7 @@ void run_stream(const bench::BenchContext& ctx) {
   const stream::Dataset dataset = make_stream(ctx, &batch_size);
 
   util::Table rate_table({"Mode", "Epochs", "Stream edges", "Aged", "Total (ms)",
-                          "Rate (Medges/s)"});
+                          "Rate (Medges/s)", "Aged rate (Medges/s)"});
   util::Table steady_table(
       {"Mode", "Steady epochs", "Chunks max/min", "RSS max/min",
        "Live-edge max/min"});
@@ -82,16 +84,20 @@ void run_stream(const bench::BenchContext& ctx) {
     const double total_ms = timer.milliseconds();
 
     std::uint64_t aged = 0;
-    for (const auto& e : epochs) aged += e.aged_out;
+    double age_seconds = 0.0;
+    for (const auto& e : epochs) {
+      aged += e.aged_out;
+      age_seconds += e.age_seconds;
+    }
     const double rate = util::mitems_per_second(
         double(dataset.num_edges()), total_ms * 1e-3);
-    const double aged_rate =
-        util::mitems_per_second(double(aged), total_ms * 1e-3);
+    const double aged_rate = util::mitems_per_second(double(aged), age_seconds);
     rate_table.add_row(
         {m.label, util::Table::fmt_int(static_cast<long long>(epochs.size())),
          util::Table::fmt_int(static_cast<long long>(dataset.num_edges())),
          util::Table::fmt_int(static_cast<long long>(aged)),
-         util::Table::fmt(total_ms, 2), util::Table::fmt(rate)});
+         util::Table::fmt(total_ms, 2), util::Table::fmt(rate),
+         util::Table::fmt(aged_rate)});
     ctx.record("stream_epoch_rate", rate, "Medges/s", {{"mode", m.label}});
     ctx.record("stream_aged_rate", aged_rate, "Medges/s", {{"mode", m.label}});
 

@@ -1,0 +1,38 @@
+// Window-aging scan behind DynGraph::delete_edges_older_than: one
+// value-filtered slab scan per live adjacency list finds every edge whose
+// stored timestamp is below the threshold, reading each timestamp in place.
+//
+// Defined in age_scan.cpp and instantiated there for MapPolicy, the only
+// policy with values. It stays out of dyn_graph_impl.hpp on purpose: built
+// into the DynGraph translation unit, this code changed GCC's inlining of
+// the staging and apply paths and slowed batched inserts and queries on the
+// power-law benchmark by 9-16% (docs/PERF.md).
+#pragma once
+
+#include <vector>
+
+#include "src/core/batch_engine.hpp"
+#include "src/core/dyn_graph.hpp"
+#include "src/core/types.hpp"
+#include "src/core/vertex_dictionary.hpp"
+#include "src/memory/slab_arena.hpp"
+
+namespace sg::core {
+
+/// Every edge (u, v) of a live vertex u whose stored value is strictly
+/// below `threshold`, in ascending order of u, so the result does not
+/// depend on the pool width. Undirected graphs keep only u <= v (the
+/// mirror carries the same timestamp). The vertices are balanced across
+/// the pool by degree; the chain depths the scan observes merge into
+/// `feedback`. Read-only: phase-serial with mutations, like a gather.
+template <class Policy>
+std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
+                                     const VertexDictionary& dict,
+                                     Weight threshold, bool undirected,
+                                     ChainFeedback& feedback);
+
+extern template std::vector<Edge> scan_expired_edges<MapPolicy>(
+    const memory::SlabArena&, const VertexDictionary&, Weight, bool,
+    ChainFeedback&);
+
+}  // namespace sg::core

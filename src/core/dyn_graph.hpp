@@ -127,6 +127,15 @@ struct MapPolicy {
                               std::uint32_t cap, std::uint32_t* chain_slabs) {
     return slabhash::map_gather(arena, t, out, cap, chain_slabs);
   }
+  /// Keys whose stored value is below `threshold` — the window-aging hook
+  /// behind DynGraph::delete_edges_older_than.
+  static std::uint32_t scan_below(const memory::SlabArena& arena,
+                                  slabhash::TableRef t, Weight threshold,
+                                  std::uint32_t* out, std::uint32_t cap,
+                                  std::uint32_t* chain_slabs) {
+    return slabhash::map_scan_below(arena, t, threshold, out, cap,
+                                    chain_slabs);
+  }
 };
 
 /// Adjacency policy: concurrent-set tables (no values; Bc = 30).
@@ -509,10 +518,13 @@ class DynGraph {
   /// below `threshold`, as ONE bulk-erase batch riding the engine's
   /// double-buffered pipeline. The DynoGraph aging idiom: with timestamps
   /// from getTimestampForWindow, `ts < threshold` keeps exactly the live
-  /// window (an edge AT the threshold survives). Undirected graphs scan
-  /// each edge once (mirrors carry the same timestamp and are erased by
-  /// the same batch). Phase-serial like delete_edges — use submit_age_out
-  /// under concurrent submitters. Returns the directed edges removed.
+  /// window (an edge AT the threshold survives). The expired set comes from
+  /// one value-filtered scan of each live adjacency list, so finding it
+  /// costs one pass over the window, not a lookup per live edge; threshold
+  /// 0 returns 0 without scanning. Undirected graphs collect each edge once
+  /// (mirrors carry the same timestamp and are erased by the same batch).
+  /// Phase-serial like delete_edges — use submit_age_out under concurrent
+  /// submitters. Returns the directed edges removed.
   std::uint64_t delete_edges_older_than(Weight threshold)
       requires Policy::kHasValues;
 

@@ -11,6 +11,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/core/age_scan.hpp"
 #include "src/core/batch_engine.hpp"
 #include "src/core/batch_utils.hpp"
 #include "src/core/dyn_graph.hpp"
@@ -1264,45 +1265,18 @@ void DynGraph<Policy>::flush_all_tombstones() {
 template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_edges_older_than(Weight threshold)
     requires Policy::kHasValues {
-  // Sweep live vertices in waves: gather each wave's adjacency, read the
-  // stored timestamps through the batched weight lookup, and collect every
-  // directed edge with ts < threshold (strictly below — the DynoGraph
-  // window convention; an edge AT the threshold survives). The expired set
-  // then retires as ONE delete_edges batch on the engine pipeline.
-  constexpr std::uint32_t kWave = 4096;
-  std::vector<VertexId> wave;
-  wave.reserve(kWave);
-  std::vector<Edge> expired;
-  std::vector<Edge> probes;
-  std::vector<std::uint64_t> offsets;
-  std::vector<VertexId> neighbors;
-  std::vector<Weight> weights;
-  const auto drain_wave = [&] {
-    if (wave.empty()) return;
-    gather_neighbors(wave, offsets, neighbors);
-    probes.clear();
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      for (std::uint64_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        // Undirected graphs store each edge twice with the same timestamp;
-        // probing only the src <= dst orientation halves the lookup work,
-        // and delete_edges erases the mirror itself.
-        if (config_.undirected && wave[i] > neighbors[k]) continue;
-        probes.push_back(Edge{wave[i], neighbors[k]});
-      }
-    }
-    weights.assign(probes.size(), Weight{0});
-    edge_weights(probes, weights.data());
-    for (std::size_t q = 0; q < probes.size(); ++q) {
-      if (weights[q] < threshold) expired.push_back(probes[q]);
-    }
-    wave.clear();
-  };
-  for (VertexId u = 0; u < dict_.capacity(); ++u) {
-    if (!vertex_live(u) || dict_.edge_count(u) == 0) continue;
-    wave.push_back(u);
-    if (wave.size() == kWave) drain_wave();
+  // Weight is unsigned: no stored timestamp is below 0.
+  if (threshold == 0) return 0;
+  // ts < threshold, strictly — the DynoGraph window convention: an edge AT
+  // the threshold survives. The expired set retires as ONE delete_edges
+  // batch on the engine pipeline.
+  ChainFeedback scan_feedback;
+  const std::vector<Edge> expired = scan_expired_edges<Policy>(
+      arena_, dict_, threshold, config_.undirected, scan_feedback);
+  {
+    std::lock_guard<std::mutex> lock(feedback_mutex_);
+    feedback_.merge_from(scan_feedback);
   }
-  drain_wave();
   if (expired.empty()) return 0;
   return delete_edges(expired);
 }

@@ -93,6 +93,13 @@ namespace {
 /// non-null, receives how deep into the chain the walk went (1 = base).
 /// On arena exhaustion: records the failure into `status` when given (the
 /// key is then NOT inserted and not counted), else throws ArenaExhausted.
+/// kSharedBucket: other threads may insert into this bucket at the same
+/// time (the scalar entry point; a bulk run owns its bucket). The probe then
+/// reads a snapshot, not the shared words: the compiler may read a word once
+/// per mask, and a peer claiming this key between the two reads leaves its
+/// slot in neither the match nor the EMPTY mask, so both callers would
+/// claim a slot of their own.
+template <bool kSharedBucket>
 bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
                        std::uint32_t bucket, std::uint32_t key,
                        std::uint32_t value, std::uint32_t alloc_seed,
@@ -106,8 +113,15 @@ bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
   for (;;) {
     ++depth;
     Slab& slab = arena.resolve(handle);
+    std::uint32_t snap[memory::kWordsPerSlab];
+    const std::uint32_t* words = slab.words;
+    if constexpr (kSharedBucket) {
+      simt::snapshot_slab(slab, snap);
+      asm("" : "+m"(snap));  // the masks must come from this copy
+      words = snap;
+    }
     const simt::SlabProbe probe =
-        simt::probe_slab(slab.words, key, kEmptyKey, kTombstoneKey);
+        simt::probe_slab(words, key, kEmptyKey, kTombstoneKey);
     const std::uint32_t match = probe.match & kMapKeyWordsMask;
     if (match != 0) {  // key already stored: overwrite the value
       atomic_store(slab.words[std::countr_zero(match) + 1], value);
@@ -201,9 +215,9 @@ MapFindResult search_in_bucket(const memory::SlabArena& arena, TableRef table,
 bool map_replace(memory::SlabArena& arena, TableRef table, std::uint32_t key,
                  std::uint32_t value, std::uint64_t seed,
                  std::uint32_t alloc_seed) {
-  return replace_in_bucket(arena, table,
-                           bucket_of(key, table.num_buckets, seed), key, value,
-                           alloc_seed);
+  return replace_in_bucket<true>(arena, table,
+                                 bucket_of(key, table.num_buckets, seed), key,
+                                 value, alloc_seed);
 }
 
 bool map_erase(memory::SlabArena& arena, TableRef table, std::uint32_t key,
@@ -232,8 +246,8 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
                                std::uint32_t* chain_slabs,
                                BulkStatus* status) {
   if (count == 1) {  // singleton run: sparse batches are mostly these
-    return replace_in_bucket(arena, table, bucket, keys[0], values[0],
-                             alloc_seed, chain_slabs, status)
+    return replace_in_bucket<false>(arena, table, bucket, keys[0], values[0],
+                                    alloc_seed, chain_slabs, status)
                ? 1u
                : 0u;
   }
@@ -486,6 +500,39 @@ std::uint32_t map_gather(const memory::SlabArena& arena, TableRef table,
                            simt::bits_below(std::countr_zero(empties));
       while (live != 0 && written < cap) {
         out[written++] = snap[std::countr_zero(live)];
+        live &= live - 1;
+      }
+      handle = next;
+    }
+    if (depth > deepest) deepest = depth;
+  }
+  if (chain_slabs != nullptr) *chain_slabs = deepest;
+  return written;
+}
+
+std::uint32_t map_scan_below(const memory::SlabArena& arena, TableRef table,
+                             std::uint32_t threshold, std::uint32_t* out,
+                             std::uint32_t cap, std::uint32_t* chain_slabs) {
+  std::uint32_t written = 0;
+  std::uint32_t deepest = 0;  // register-held, published once at exit
+  for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
+    SlabHandle handle = table.bucket_head(b);
+    std::uint32_t depth = 0;
+    while (handle != kNullSlab) {
+      ++depth;
+      std::uint32_t snap[memory::kWordsPerSlab];
+      simt::snapshot_slab(arena.resolve(handle), snap);
+      const SlabHandle next = snap[kNextPtrWord];
+      if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
+      const std::uint32_t empties =
+          simt::empty_mask(snap, kEmptyKey) & kMapKeyWordsMask;
+      const std::uint32_t tombs =
+          simt::tombstone_mask(snap, kTombstoneKey) & kMapKeyWordsMask;
+      std::uint32_t live = kMapKeyWordsMask & ~tombs &
+                           simt::bits_below(std::countr_zero(empties));
+      while (live != 0 && written < cap) {
+        const int key_word = std::countr_zero(live);
+        if (snap[key_word + 1] < threshold) out[written++] = snap[key_word];
         live &= live - 1;
       }
       handle = next;

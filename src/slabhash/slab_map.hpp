@@ -112,6 +112,18 @@ std::uint32_t map_gather(const memory::SlabArena& arena, TableRef table,
                          std::uint32_t* out, std::uint32_t cap,
                          std::uint32_t* chain_slabs = nullptr);
 
+/// Value-filtered gather: writes the key of every live pair whose value is
+/// STRICTLY below `threshold` into `out` (caller-presized to `cap` slots),
+/// reading each stored value in place during one walk of every bucket chain
+/// (one snapshot + live mask per slab, as in map_gather). Returns the number
+/// written, stopping at `cap`. `chain_slabs` as in map_gather. This is the
+/// window-aging scan: with timestamps as values it lists the expired keys
+/// without a hash probe per key.
+std::uint32_t map_scan_below(const memory::SlabArena& arena, TableRef table,
+                             std::uint32_t threshold, std::uint32_t* out,
+                             std::uint32_t cap,
+                             std::uint32_t* chain_slabs = nullptr);
+
 /// Occupancy statistics (Figure 2b/2c inputs).
 TableOccupancy map_occupancy(const memory::SlabArena& arena, TableRef table);
 

@@ -48,6 +48,9 @@ namespace {
 /// set_insert after hashing: shared by the scalar entry point and the bulk
 /// path's singleton runs (which arrive pre-hashed). On arena exhaustion:
 /// records into `status` when given (key NOT inserted), else throws.
+/// kSharedBucket as in slab_map.cpp's replace_in_bucket: racing scalar
+/// inserts probe a snapshot so each sees every slot once.
+template <bool kSharedBucket>
 bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
                       std::uint32_t bucket, std::uint32_t key,
                       std::uint32_t alloc_seed,
@@ -60,8 +63,15 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
   for (;;) {
     ++depth;
     Slab& slab = arena.resolve(handle);
+    std::uint32_t snap[memory::kWordsPerSlab];
+    const std::uint32_t* words = slab.words;
+    if constexpr (kSharedBucket) {
+      simt::snapshot_slab(slab, snap);
+      asm("" : "+m"(snap));  // the masks must come from this copy
+      words = snap;
+    }
     const simt::SlabProbe probe =
-        simt::probe_slab(slab.words, key, kEmptyKey, kTombstoneKey);
+        simt::probe_slab(words, key, kEmptyKey, kTombstoneKey);
     if ((probe.match & kSetKeyWordsMask) != 0) {  // already present
       if (chain_slabs != nullptr) *chain_slabs = depth;
       return false;
@@ -139,9 +149,9 @@ bool contains_in_bucket(const memory::SlabArena& arena, TableRef table,
 
 bool set_insert(memory::SlabArena& arena, TableRef table, std::uint32_t key,
                 std::uint64_t seed, std::uint32_t alloc_seed) {
-  return insert_in_bucket(arena, table,
-                          bucket_of(key, table.num_buckets, seed), key,
-                          alloc_seed);
+  return insert_in_bucket<true>(arena, table,
+                                bucket_of(key, table.num_buckets, seed), key,
+                                alloc_seed);
 }
 
 bool set_erase(memory::SlabArena& arena, TableRef table, std::uint32_t key,
@@ -161,8 +171,8 @@ std::uint32_t set_bulk_insert(memory::SlabArena& arena, TableRef table,
                               std::uint32_t count, std::uint32_t alloc_seed,
                               std::uint32_t* chain_slabs, BulkStatus* status) {
   if (count == 1) {  // singleton run: sparse batches are mostly these
-    return insert_in_bucket(arena, table, bucket, keys[0], alloc_seed,
-                            chain_slabs, status)
+    return insert_in_bucket<false>(arena, table, bucket, keys[0], alloc_seed,
+                                   chain_slabs, status)
                ? 1u
                : 0u;
   }

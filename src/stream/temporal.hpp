@@ -7,8 +7,8 @@
 // public types document w as "standing in for any per-edge meta-data"
 // (src/core/types.hpp) — so most-recent-wins insertion gives re-inserted
 // edges a refreshed timestamp for free, and
-// DynGraph::delete_edges_older_than reads timestamps back through the
-// batched weight lookup.
+// DynGraph::delete_edges_older_than reads the timestamps in place with one
+// value-filtered scan per adjacency list.
 //
 // Batch preparation follows dynograph_util's three modes:
 //   * UNSORTED — the raw arrival-order slice (worst-case locality);

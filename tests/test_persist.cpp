@@ -483,6 +483,39 @@ TEST(Recovery, SnapshotPlusJournalSuffixReplay) {
   expect_matches_model(*rec.graph, model);
 }
 
+void aged_recovery_case(bool undirected) {
+  TempDir dir;
+  GraphConfig cfg;
+  cfg.undirected = undirected;
+  cfg.journal_path = dir.file("j");
+  core::testutil::EdgeSet live;
+  {
+    DynGraphMap g(cfg);
+    // Weights are timestamps: each batch's edges carry [0, 2^16), so every
+    // threshold below retires edges from several batches at once.
+    for (std::uint64_t b = 0; b < 4; ++b) {
+      g.insert_edges(random_batch(40 + b, 1500, 200));
+      if (b % 2 == 1) {
+        ASSERT_GT(g.delete_edges_older_than(
+                      static_cast<Weight>((b + 1) << 13)),
+                  0u);
+      }
+    }
+    live = core::testutil::graph_edges(g);
+    ASSERT_FALSE(live.empty());
+  }
+  const RecoveredMap rec = recover<MapPolicy>(cfg);
+  EXPECT_EQ(core::testutil::graph_edges(*rec.graph), live);
+  EXPECT_EQ(rec.graph->num_edges(), live.size());
+}
+
+TEST(Recovery, AgedGraphRecoversEdgeForEdgeDirected) {
+  aged_recovery_case(false);
+}
+TEST(Recovery, AgedGraphRecoversEdgeForEdgeUndirected) {
+  aged_recovery_case(true);
+}
+
 TEST(Recovery, EmptyJournalYieldsEmptyGraph) {
   TempDir dir;
   GraphConfig cfg;

@@ -1,11 +1,13 @@
 // Unit & property tests for the SlabHash concurrent map: uniqueness under
 // replace, most-recent-weight-wins, tombstone semantics (never reused by
-// insertion; empties only at chain tails), chain growth, iteration,
-// occupancy accounting, compaction, and concurrent stress.
+// insertion; empties only at chain tails), chain growth, iteration, the
+// value-filtered scan, occupancy accounting, compaction, and concurrent
+// stress.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
@@ -132,6 +134,38 @@ TEST_F(SlabMapTest, ForEachVisitsExactlyLivePairs) {
     ASSERT_TRUE(seen.emplace(k, v).second) << "duplicate key in iteration";
   });
   EXPECT_EQ(seen, reference);
+}
+
+TEST_F(SlabMapTest, ScanBelowMatchesForEachFilteredByValue) {
+  // Few buckets and many keys: overflow chains, then tombstones in them.
+  SlabHashMap map(arena, 3);
+  for (std::uint32_t k = 0; k < 400; ++k) map.replace(k, (k * 37) % 1000);
+  for (std::uint32_t k = 0; k < 400; k += 5) map.erase(k);
+  ASSERT_GT(map.occupancy().overflow_slabs, 0u);
+  ASSERT_GT(map.occupancy().tombstones, 0u);
+  std::uint32_t gather_depth = 0;
+  std::vector<std::uint32_t> all(400);
+  const std::uint32_t live =
+      map_gather(arena, map.table(), all.data(), 400, &gather_depth);
+  for (const std::uint32_t threshold : {0u, 1u, 370u, 999u, 1000u}) {
+    std::multiset<std::uint32_t> expected;
+    map.for_each([&](std::uint32_t k, std::uint32_t v) {
+      if (v < threshold) expected.insert(k);
+    });
+    std::vector<std::uint32_t> out(live);
+    std::uint32_t depth = 0;
+    const std::uint32_t n =
+        map_scan_below(arena, map.table(), threshold, out.data(), live, &depth);
+    EXPECT_EQ(std::multiset<std::uint32_t>(out.begin(), out.begin() + n),
+              expected)
+        << "threshold " << threshold;
+    EXPECT_EQ(depth, gather_depth);
+  }
+  // The scan stops at cap even when more keys qualify.
+  std::vector<std::uint32_t> small(7, 0xDEADu);
+  small.push_back(0xBEEFu);  // guard slot past cap
+  EXPECT_EQ(map_scan_below(arena, map.table(), 1000, small.data(), 7), 7u);
+  EXPECT_EQ(small[7], 0xBEEFu);
 }
 
 TEST_F(SlabMapTest, OccupancyCountsSlots) {

@@ -222,6 +222,129 @@ TEST(AgeOut, UndirectedAgingRetiresBothDirections) {
   EXPECT_TRUE(g.edge_exists(4, 3));
 }
 
+TEST(AgeOut, ZeroThresholdReturnsZeroWithoutScanning) {
+  core::DynGraphMap g(map_config(16));
+  std::vector<core::WeightedEdge> batch = {{1, 2, 0}, {3, 4, 0}};
+  g.insert_edges(batch);
+  const std::uint64_t runs = g.chain_feedback().runs_observed;
+  EXPECT_EQ(g.delete_edges_older_than(0), 0u);
+  EXPECT_EQ(g.chain_feedback().runs_observed, runs);  // no vertex was walked
+  EXPECT_EQ(g.num_edges(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// delete_edges_older_than against the reference model filtered by weight
+// ---------------------------------------------------------------------------
+
+/// Ages the model as delete_edges_older_than must age the graph: every
+/// stored edge with weight < threshold goes, mirrors included. Returns the
+/// directed edges removed.
+std::uint64_t age_model(core::testutil::ReferenceGraph& model,
+                        core::Weight threshold) {
+  std::vector<core::Edge> expired;
+  for (const auto& [u, nbrs] : model.adjacency()) {
+    for (const auto& [v, w] : nbrs) {
+      if (w < threshold) expired.push_back({u, v});
+    }
+  }
+  return model.erase(expired);
+}
+
+TEST(AgeOutModel, HubWithTombstonedMultiSlabChains) {
+  core::GraphConfig cfg = map_config(64);
+  cfg.auto_rehash_p99_slabs = 0;  // keep the overflow chains in place
+  core::DynGraphMap g(cfg);
+  core::testutil::ReferenceGraph model;
+  // The hub's first batch sizes its table for one edge; later batches pile
+  // thousands of neighbours into overflow chains.
+  util::Xoshiro256 rng(21);
+  for (int b = 0; b < 8; ++b) {
+    std::vector<core::WeightedEdge> batch;
+    for (int i = 0; i < (b == 0 ? 1 : 500); ++i) {
+      batch.push_back({0, static_cast<core::VertexId>(1 + rng.below(4000)),
+                       static_cast<core::Weight>(rng.below(1000))});
+    }
+    for (int i = 0; i < 100; ++i) {
+      batch.push_back({static_cast<core::VertexId>(1 + rng.below(63)),
+                       static_cast<core::VertexId>(rng.below(64)),
+                       static_cast<core::Weight>(rng.below(1000))});
+    }
+    EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
+  }
+  ASSERT_GT(g.memory_stats().overflow_slabs, 0u);
+  // Tombstone a third of the hub's neighbours before aging.
+  std::vector<core::Edge> erase;
+  for (const auto& [v, w] : model.adjacency().at(0)) {
+    if (v % 3 == 0) erase.push_back({0, v});
+  }
+  EXPECT_EQ(g.delete_edges(erase), model.erase(erase));
+  ASSERT_GT(g.memory_stats().tombstones, 0u);
+  for (const core::Weight threshold : {100u, 400u, 400u, 900u}) {
+    EXPECT_EQ(g.delete_edges_older_than(threshold),
+              age_model(model, threshold));
+    core::testutil::expect_matches_model(g, model);
+  }
+}
+
+TEST(AgeOutModel, ScanFeedsChainFeedback) {
+  core::GraphConfig cfg = map_config(8);
+  cfg.auto_rehash_p99_slabs = 0;  // nothing consumes the feedback
+  core::DynGraphMap g(cfg);
+  std::vector<core::WeightedEdge> seed = {{0, 1, 7}, {2, 3, 7}};
+  g.insert_edges(seed);
+  std::vector<core::WeightedEdge> hub;
+  for (core::VertexId v = 2; v < 400; ++v) hub.push_back({0, v, 7});
+  g.insert_edges(hub);
+  ASSERT_GT(g.memory_stats().overflow_slabs, 0u);
+  const std::uint64_t runs = g.chain_feedback().runs_observed;
+  const std::size_t long_chains = g.chain_feedback().candidates.size();
+  // Nothing expires, so no erase batch runs: every change below is the
+  // scan's own observation of the two live vertices.
+  EXPECT_EQ(g.delete_edges_older_than(7), 0u);
+  EXPECT_EQ(g.chain_feedback().runs_observed, runs + 2);
+  ASSERT_EQ(g.chain_feedback().candidates.size(), long_chains + 1);
+  EXPECT_EQ(g.chain_feedback().candidates.back(), 0u);
+}
+
+TEST(AgeOutModel, AfterDeleteVertices) {
+  core::DynGraphMap g(map_config(128));
+  core::testutil::ReferenceGraph model;
+  const auto batch = core::testutil::random_batch(5, 3000, 128);
+  EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
+  const std::vector<core::VertexId> gone = {3, 17, 64};
+  g.delete_vertices(gone);
+  model.delete_vertices(gone);
+  EXPECT_EQ(g.delete_edges_older_than(1u << 15),
+            age_model(model, 1u << 15));
+  core::testutil::expect_matches_model(g, model);
+}
+
+TEST(AgeOutModel, UndirectedMirrorsAgeTogether) {
+  core::DynGraphMap g(map_config(128, /*undirected=*/true));
+  core::testutil::ReferenceGraph model(/*undirected=*/true);
+  const auto batch = core::testutil::random_batch(9, 3000, 128);
+  EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
+  for (const core::Weight threshold : {1u << 13, 1u << 15}) {
+    EXPECT_EQ(g.delete_edges_older_than(threshold),
+              age_model(model, threshold));
+    core::testutil::expect_matches_model(g, model);
+  }
+}
+
+TEST(AgeOutModel, ThresholdAtStoredTimestampSurvives) {
+  core::DynGraphMap g(map_config(128));
+  core::testutil::ReferenceGraph model;
+  const auto batch = core::testutil::random_batch(13, 3000, 128);
+  EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
+  // Use the stored timestamp of a live edge as the threshold.
+  const auto& [u, nbrs] = *model.adjacency().begin();
+  const auto [v, threshold] = *nbrs.begin();
+  EXPECT_EQ(g.delete_edges_older_than(threshold), age_model(model, threshold));
+  EXPECT_TRUE(g.edge_exists(u, v));
+  EXPECT_EQ(g.edge_weight(u, v).value, threshold);
+  core::testutil::expect_matches_model(g, model);
+}
+
 // ---------------------------------------------------------------------------
 // Differential: harness-aged graph == never-aged graph filtered by ts
 // ---------------------------------------------------------------------------
