@@ -22,12 +22,14 @@
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/atomics.hpp"
 #include "src/simt/simd.hpp"
-#include "src/slabhash/slab_map.hpp"
-#include "src/slabhash/slab_set.hpp"
+#include "src/slabhash/slab_hash.hpp"
 #include "src/util/prng.hpp"
 
 namespace sg {
 namespace {
+
+using slabhash::MapLayout;
+using slabhash::SetLayout;
 
 struct Query {
   std::uint32_t slab;
@@ -45,8 +47,8 @@ Workload make_workload(std::uint32_t num_slabs, std::uint32_t num_queries,
   w.slabs.resize(num_slabs);
   util::Xoshiro256 rng(seed);
   const int used =
-      std::clamp(static_cast<int>(fill * slabhash::kSetKeysPerSlab), 1,
-                 slabhash::kSetKeysPerSlab);
+      std::clamp(static_cast<int>(fill * SetLayout::kSlotsPerSlab), 1,
+                 SetLayout::kSlotsPerSlab);
   for (auto& slab : w.slabs) {
     for (int s = 0; s < memory::kWordsPerSlab; ++s) {
       slab.words[s] = s < used
@@ -71,7 +73,7 @@ std::uint64_t run_scalar(const Workload& w) {
   std::uint64_t hits = 0;
   for (const Query& q : w.queries) {
     const memory::Slab& slab = w.slabs[q.slab];
-    for (int slot = 0; slot < slabhash::kSetKeysPerSlab; ++slot) {
+    for (int slot = 0; slot < SetLayout::kSlotsPerSlab; ++slot) {
       const std::uint32_t k = simt::atomic_load(slab.words[slot]);
       if (k == q.key) {
         ++hits;
@@ -89,7 +91,7 @@ std::uint64_t run_masked(const Workload& w) {
   for (const Query& q : w.queries) {
     const std::uint32_t mask =
         simt::match_mask(w.slabs[q.slab].words, q.key);
-    hits += (mask & slabhash::kSetKeyWordsMask) != 0;
+    hits += (mask & SetLayout::kKeyWordsMask) != 0;
   }
   return hits;
 }
@@ -161,12 +163,12 @@ void run(const bench::BenchContext& ctx, const util::Cli& cli) {
 
   memory::SlabArena arena;
   slabhash::SlabHashSet set(
-      arena, slabhash::buckets_for(num_keys, 0.7, slabhash::kSetKeysPerSlab));
+      arena, slabhash::buckets_for(num_keys, 0.7, SetLayout::kSlotsPerSlab));
   slabhash::SlabHashMap map(
-      arena, slabhash::buckets_for(num_keys, 0.7, slabhash::kMapPairsPerSlab));
+      arena, slabhash::buckets_for(num_keys, 0.7, MapLayout::kSlotsPerSlab));
   for (const std::uint32_t k : keys) {
     set.insert(k);
-    map.replace(k, k);
+    map.insert(k, k);
   }
   std::vector<std::uint32_t> probes = keys;
   for (std::size_t i = 0; i < probes.size(); i += 2) {

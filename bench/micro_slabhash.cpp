@@ -11,8 +11,7 @@
 #include "src/core/dyn_graph.hpp"
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
-#include "src/slabhash/slab_map.hpp"
-#include "src/slabhash/slab_set.hpp"
+#include "src/slabhash/slab_hash.hpp"
 #include "src/util/prng.hpp"
 
 namespace {
@@ -37,9 +36,9 @@ void BM_MapInsert(benchmark::State& state) {
     state.PauseTiming();
     sg::memory::SlabArena arena;
     sg::slabhash::SlabHashMap map(
-        arena, buckets_at(state, sg::slabhash::kMapPairsPerSlab));
+        arena, buckets_at(state, sg::slabhash::MapLayout::kSlotsPerSlab));
     state.ResumeTiming();
-    for (std::uint32_t k : keys) map.replace(k, k);
+    for (std::uint32_t k : keys) map.insert(k, k);
   }
   state.SetItemsProcessed(state.iterations() * kKeys);
 }
@@ -49,8 +48,8 @@ void BM_MapSearch(benchmark::State& state) {
   const auto keys = make_keys(2);
   sg::memory::SlabArena arena;
   sg::slabhash::SlabHashMap map(
-      arena, buckets_at(state, sg::slabhash::kMapPairsPerSlab));
-  for (std::uint32_t k : keys) map.replace(k, k);
+      arena, buckets_at(state, sg::slabhash::MapLayout::kSlotsPerSlab));
+  for (std::uint32_t k : keys) map.insert(k, k);
   for (auto _ : state) {
     std::uint64_t hits = 0;
     for (std::uint32_t k : keys) hits += map.search(k).found;
@@ -66,7 +65,7 @@ void BM_SetInsert(benchmark::State& state) {
     state.PauseTiming();
     sg::memory::SlabArena arena;
     sg::slabhash::SlabHashSet set(
-        arena, buckets_at(state, sg::slabhash::kSetKeysPerSlab));
+        arena, buckets_at(state, sg::slabhash::SetLayout::kSlotsPerSlab));
     state.ResumeTiming();
     for (std::uint32_t k : keys) set.insert(k);
   }
@@ -78,7 +77,7 @@ void BM_SetContains(benchmark::State& state) {
   const auto keys = make_keys(4);
   sg::memory::SlabArena arena;
   sg::slabhash::SlabHashSet set(
-      arena, buckets_at(state, sg::slabhash::kSetKeysPerSlab));
+      arena, buckets_at(state, sg::slabhash::SetLayout::kSlotsPerSlab));
   for (std::uint32_t k : keys) set.insert(k);
   for (auto _ : state) {
     std::uint64_t hits = 0;
@@ -151,7 +150,7 @@ void BM_NaivePerItemInsert(benchmark::State& state) {
     for (int v = 0; v < 256; ++v) tables.emplace_back(arena, 1);
     state.ResumeTiming();
     for (const auto& e : batch) {
-      if (e.src != e.dst) tables[e.src].replace(e.dst, e.weight);
+      if (e.src != e.dst) tables[e.src].insert(e.dst, e.weight);
     }
   }
   state.SetItemsProcessed(state.iterations() * batch.size());

@@ -37,8 +37,7 @@
 #include "src/core/types.hpp"
 #include "src/core/vertex_dictionary.hpp"
 #include "src/memory/slab_arena.hpp"
-#include "src/slabhash/slab_map.hpp"
-#include "src/slabhash/slab_set.hpp"
+#include "src/slabhash/slab_hash.hpp"
 
 namespace sg::persist {
 class Journal;  // write-ahead batch journal (src/persist/journal.hpp)
@@ -46,168 +45,11 @@ class Journal;  // write-ahead batch journal (src/persist/journal.hpp)
 
 namespace sg::core {
 
-/// Adjacency policy: concurrent-map tables (value = edge weight).
-struct MapPolicy {
-  static constexpr int kSlotCapacity = slabhash::kMapPairsPerSlab;
-  static constexpr bool kHasValues = true;
-
-  static bool insert(memory::SlabArena& arena, slabhash::TableRef t,
-                     VertexId dst, Weight w, std::uint64_t seed,
-                     std::uint32_t alloc_seed) {
-    return slabhash::map_replace(arena, t, dst, w, seed, alloc_seed);
-  }
-  static bool erase(memory::SlabArena& arena, slabhash::TableRef t, VertexId dst,
-                    std::uint64_t seed) {
-    return slabhash::map_erase(arena, t, dst, seed);
-  }
-  static bool contains(const memory::SlabArena& arena, slabhash::TableRef t,
-                       VertexId dst, std::uint64_t seed) {
-    return slabhash::map_search(arena, t, dst, seed).found;
-  }
-  static void for_each(const memory::SlabArena& arena, slabhash::TableRef t,
-                       const std::function<void(VertexId, Weight)>& fn) {
-    slabhash::map_for_each(arena, t, fn);
-  }
-  static slabhash::TableOccupancy occupancy(const memory::SlabArena& arena,
-                                            slabhash::TableRef t) {
-    return slabhash::map_occupancy(arena, t);
-  }
-  static void clear(memory::SlabArena& arena, slabhash::TableRef t) {
-    slabhash::map_clear(arena, t);
-  }
-  static void flush_tombstones(memory::SlabArena& arena, slabhash::TableRef t) {
-    slabhash::map_flush_tombstones(arena, t);
-  }
-  /// Key stored at slot `i` of a slab (layout-aware; for the iterator).
-  /// Racy by design: Algorithm 2's lanes iterate while peer warps CAS
-  /// tombstones into the same slabs.
-  static std::uint32_t slot_key(const memory::Slab& slab, int i) {
-    return simt::racy_load(slab.words[i * 2]);
-  }
-
-  // ---- staged-run hooks (batch engine) --------------------------------
-  static std::uint32_t bulk_insert(memory::SlabArena& arena,
-                                   slabhash::TableRef t, std::uint32_t bucket,
-                                   const std::uint32_t* keys,
-                                   const std::uint32_t* values,
-                                   std::uint32_t count,
-                                   std::uint32_t alloc_seed,
-                                   std::uint32_t* chain_slabs,
-                                   slabhash::BulkStatus* status) {
-    return slabhash::map_bulk_replace(arena, t, bucket, keys, values, count,
-                                      alloc_seed, chain_slabs, status);
-  }
-  static std::uint32_t bulk_erase(memory::SlabArena& arena,
-                                  slabhash::TableRef t, std::uint32_t bucket,
-                                  const std::uint32_t* keys,
-                                  std::uint32_t count,
-                                  std::uint32_t* chain_slabs) {
-    return slabhash::map_bulk_erase(arena, t, bucket, keys, count, chain_slabs);
-  }
-  static void bulk_contains(const memory::SlabArena& arena,
-                            slabhash::TableRef t, std::uint32_t bucket,
-                            const std::uint32_t* keys, std::uint32_t count,
-                            std::uint8_t* found, std::uint32_t* chain_slabs) {
-    slabhash::map_bulk_search(arena, t, bucket, keys, count, found, nullptr,
-                              chain_slabs);
-  }
-  /// Like bulk_contains but also gathers the stored values — the batched
-  /// weighted-lookup hook behind DynGraph::edge_weights.
-  static void bulk_search_values(const memory::SlabArena& arena,
-                                 slabhash::TableRef t, std::uint32_t bucket,
-                                 const std::uint32_t* keys, std::uint32_t count,
-                                 std::uint8_t* found, std::uint32_t* values,
-                                 std::uint32_t* chain_slabs) {
-    slabhash::map_bulk_search(arena, t, bucket, keys, count, found, values,
-                              chain_slabs);
-  }
-  /// Full-adjacency extraction (keys only) — the analytics gather hook.
-  static std::uint32_t gather(const memory::SlabArena& arena,
-                              slabhash::TableRef t, std::uint32_t* out,
-                              std::uint32_t cap, std::uint32_t* chain_slabs) {
-    return slabhash::map_gather(arena, t, out, cap, chain_slabs);
-  }
-  /// Keys whose stored value is below `threshold` — the window-aging hook
-  /// behind DynGraph::delete_edges_older_than.
-  static std::uint32_t scan_below(const memory::SlabArena& arena,
-                                  slabhash::TableRef t, Weight threshold,
-                                  std::uint32_t* out, std::uint32_t cap,
-                                  std::uint32_t* chain_slabs) {
-    return slabhash::map_scan_below(arena, t, threshold, out, cap,
-                                    chain_slabs);
-  }
-};
+/// Adjacency policy: concurrent-map tables (value = edge weight; Bc = 15).
+struct MapPolicy : slabhash::SlabOps<slabhash::MapLayout> {};
 
 /// Adjacency policy: concurrent-set tables (no values; Bc = 30).
-struct SetPolicy {
-  static constexpr int kSlotCapacity = slabhash::kSetKeysPerSlab;
-  static constexpr bool kHasValues = false;
-
-  static bool insert(memory::SlabArena& arena, slabhash::TableRef t,
-                     VertexId dst, Weight /*w*/, std::uint64_t seed,
-                     std::uint32_t alloc_seed) {
-    return slabhash::set_insert(arena, t, dst, seed, alloc_seed);
-  }
-  static bool erase(memory::SlabArena& arena, slabhash::TableRef t, VertexId dst,
-                    std::uint64_t seed) {
-    return slabhash::set_erase(arena, t, dst, seed);
-  }
-  static bool contains(const memory::SlabArena& arena, slabhash::TableRef t,
-                       VertexId dst, std::uint64_t seed) {
-    return slabhash::set_contains(arena, t, dst, seed);
-  }
-  static void for_each(const memory::SlabArena& arena, slabhash::TableRef t,
-                       const std::function<void(VertexId, Weight)>& fn) {
-    slabhash::set_for_each(arena, t,
-                           [&fn](std::uint32_t key) { fn(key, Weight{0}); });
-  }
-  static slabhash::TableOccupancy occupancy(const memory::SlabArena& arena,
-                                            slabhash::TableRef t) {
-    return slabhash::set_occupancy(arena, t);
-  }
-  static void clear(memory::SlabArena& arena, slabhash::TableRef t) {
-    slabhash::set_clear(arena, t);
-  }
-  static void flush_tombstones(memory::SlabArena& arena, slabhash::TableRef t) {
-    slabhash::set_flush_tombstones(arena, t);
-  }
-  static std::uint32_t slot_key(const memory::Slab& slab, int i) {
-    return simt::racy_load(slab.words[i]);
-  }
-
-  // ---- staged-run hooks (batch engine) --------------------------------
-  static std::uint32_t bulk_insert(memory::SlabArena& arena,
-                                   slabhash::TableRef t, std::uint32_t bucket,
-                                   const std::uint32_t* keys,
-                                   const std::uint32_t* /*values*/,
-                                   std::uint32_t count,
-                                   std::uint32_t alloc_seed,
-                                   std::uint32_t* chain_slabs,
-                                   slabhash::BulkStatus* status) {
-    return slabhash::set_bulk_insert(arena, t, bucket, keys, count, alloc_seed,
-                                     chain_slabs, status);
-  }
-  static std::uint32_t bulk_erase(memory::SlabArena& arena,
-                                  slabhash::TableRef t, std::uint32_t bucket,
-                                  const std::uint32_t* keys,
-                                  std::uint32_t count,
-                                  std::uint32_t* chain_slabs) {
-    return slabhash::set_bulk_erase(arena, t, bucket, keys, count, chain_slabs);
-  }
-  static void bulk_contains(const memory::SlabArena& arena,
-                            slabhash::TableRef t, std::uint32_t bucket,
-                            const std::uint32_t* keys, std::uint32_t count,
-                            std::uint8_t* found, std::uint32_t* chain_slabs) {
-    slabhash::set_bulk_contains(arena, t, bucket, keys, count, found,
-                                chain_slabs);
-  }
-  /// Full-adjacency extraction — the analytics gather hook.
-  static std::uint32_t gather(const memory::SlabArena& arena,
-                              slabhash::TableRef t, std::uint32_t* out,
-                              std::uint32_t cap, std::uint32_t* chain_slabs) {
-    return slabhash::set_gather(arena, t, out, cap, chain_slabs);
-  }
-};
+struct SetPolicy : slabhash::SlabOps<slabhash::SetLayout> {};
 
 /// Output of DynGraph::gather_neighbors: one presized buffer holding every
 /// requested vertex's live adjacency in disjoint slices, addressable by

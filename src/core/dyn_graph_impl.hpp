@@ -72,7 +72,6 @@ DynGraph<Policy>::DynGraph(GraphConfig config)
   if (config_.max_arena_chunks != 0) {
     arena_.set_chunk_limit(config_.max_arena_chunks);
   }
-  arena_.set_checks(config_.arena_checks);
   if (!config_.journal_path.empty()) {
     attach_journal(config_.journal_path);
   }
@@ -1233,7 +1232,7 @@ template <class Policy>
 slabhash::MapFindResult DynGraph<Policy>::edge_weight(VertexId u, VertexId v) const
     requires Policy::kHasValues {
   if (u >= dict_.capacity() || !dict_.has_table(u)) return {};
-  return slabhash::map_search(arena_, dict_.table(u), v, config_.hash_seed);
+  return Policy::search(arena_, dict_.table(u), v, config_.hash_seed);
 }
 
 template <class Policy>

@@ -148,12 +148,6 @@ struct GraphConfig {
   /// 0 = the 32 GiB address-space limit.
   std::uint32_t max_arena_chunks = 0;
 
-  /// Always-on misuse checks in SlabArena::free (double free, free of a
-  /// base slab) raising memory::ArenaFault instead of release-build UB.
-  /// Costs one bitmap load plus a <= 32-entry cache scan per free; disable
-  /// only if profiling shows it on a hot path.
-  bool arena_checks = true;
-
   /// Victim threshold of DynGraph::compact (docs/WORKLOADS.md
   /// "Sliding-window streaming"): a dynamic arena chunk whose allocated
   /// fraction is BELOW this value has its surviving slabs migrated into

@@ -1,7 +1,6 @@
 #include "src/memory/slab_arena.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "src/util/fault_injection.hpp"
@@ -69,12 +68,10 @@ bool SlabArena::cache_push(SlabHandle handle) {
   // Same-thread double free of a cached handle: the bitmap bit is still
   // set, so only this scan can catch it before the slab is handed out
   // twice. 32 slots — cheap enough to keep on in release builds.
-  if (checks_) {
-    for (std::uint32_t i = 0; i < cache.count; ++i) {
-      if (cache.slots[i] == handle) {
-        cache.unlock();
-        throw ArenaFault("SlabArena::free: double free (handle in cache)");
-      }
+  for (std::uint32_t i = 0; i < cache.count; ++i) {
+    if (cache.slots[i] == handle) {
+      cache.unlock();
+      throw ArenaFault("SlabArena::free: double free (handle in cache)");
     }
   }
   const bool pushed = cache.count < kFreeCacheSlots;
@@ -192,34 +189,23 @@ void SlabArena::free_contiguous(SlabHandle first, std::uint32_t count) {
   Chunk* chunk = ci < num_chunks_.load(std::memory_order_acquire)
                      ? chunk_at(ci)
                      : nullptr;
-  assert(chunk != nullptr && !chunk->dynamic && slot + count <= kChunkSlabs &&
-         "free_contiguous: not a bulk range");
   if (chunk == nullptr || chunk->dynamic || slot + count > kChunkSlabs) {
-    if (checks_) {
-      throw ArenaFault("SlabArena::free_contiguous: handle " +
-                       std::to_string(first) +
-                       " does not address a bulk slab range");
-    }
-    return;
+    throw ArenaFault("SlabArena::free_contiguous: handle " +
+                     std::to_string(first) +
+                     " does not address a bulk slab range");
   }
   std::lock_guard<std::mutex> lock(bulk_mutex_);
   // Overlap with an already-free range is the bulk analog of a double
   // free: reject before the same slabs can be handed out twice.
   auto next = bulk_free_.lower_bound(first);
   if (next != bulk_free_.end() && next->first < first + count) {
-    if (checks_) {
-      throw ArenaFault("SlabArena::free_contiguous: double free of range at " +
-                       std::to_string(first));
-    }
-    return;
+    throw ArenaFault("SlabArena::free_contiguous: double free of range at " +
+                     std::to_string(first));
   }
   auto prev = next;
   if (prev != bulk_free_.begin() && (--prev)->first + prev->second > first) {
-    if (checks_) {
-      throw ArenaFault("SlabArena::free_contiguous: double free of range at " +
-                       std::to_string(first));
-    }
-    return;
+    throw ArenaFault("SlabArena::free_contiguous: double free of range at " +
+                     std::to_string(first));
   }
   // Coalesce with adjacent free ranges — same chunk only: the last handle
   // of chunk c and the first of chunk c+1 are numerically adjacent but not
@@ -387,16 +373,12 @@ void SlabArena::free_impl(SlabHandle handle, bool use_cache) {
   const std::uint32_t ci = handle >> kOffsetBits;
   const std::uint32_t slot = handle & kOffsetMask;
   Chunk* chunk = chunk_at(ci);
-  assert(chunk != nullptr && chunk->dynamic && "free of a non-dynamic slab");
   if (chunk == nullptr || !chunk->dynamic) {
     // UB in waiting (a bulk slab "freed" here would be handed out again by
     // the bump allocator while a chain still points at it): raise a typed
-    // error in release builds too while checks are on.
-    if (checks_) {
-      throw ArenaFault("SlabArena::free: handle " + std::to_string(handle) +
-                       " does not address a dynamic slab");
-    }
-    return;
+    // error in release builds too.
+    throw ArenaFault("SlabArena::free: handle " + std::to_string(handle) +
+                     " does not address a dynamic slab");
   }
   const std::uint64_t mask = std::uint64_t{1} << (slot % 64);
   // A clear bitmap bit means the slab is already free (double free of a
@@ -405,13 +387,9 @@ void SlabArena::free_impl(SlabHandle handle, bool use_cache) {
   // cache_push (same thread) but not across threads.
   const std::uint64_t live =
       chunk->bitmap[slot / 64].load(std::memory_order_acquire);
-  assert((live & mask) != 0 && "double free");
   if ((live & mask) == 0) {
-    if (checks_) {
-      throw ArenaFault("SlabArena::free: double free of handle " +
-                       std::to_string(handle));
-    }
-    return;
+    throw ArenaFault("SlabArena::free: double free of handle " +
+                     std::to_string(handle));
   }
   // Fast path: park the handle in this thread's cache (bitmap bit stays
   // set, so the slab stays invisible to other allocators). Spill to the
@@ -422,14 +400,13 @@ void SlabArena::free_impl(SlabHandle handle, bool use_cache) {
   }
   const std::uint64_t prev =
       chunk->bitmap[slot / 64].fetch_and(~mask, std::memory_order_acq_rel);
-  assert((prev & mask) != 0 && "double free");
   if (prev & mask) {
     chunk->free_count.fetch_add(1, std::memory_order_relaxed);
     dynamic_slabs_.fetch_sub(1, std::memory_order_relaxed);
     // Point the cold-scan cursor at the word that just gained a free bit so
     // the next allocation finds it without walking the filled prefix.
     chunk->scan_hint.store(slot / 64, std::memory_order_relaxed);
-  } else if (checks_) {
+  } else {
     // Lost a race against another free of the same handle: the fetch_and is
     // the authoritative arbiter, so this caller is the duplicate.
     throw ArenaFault("SlabArena::free: concurrent double free of handle " +

@@ -51,8 +51,8 @@ class ArenaExhausted : public std::bad_alloc {
 };
 
 /// A caller violated the arena contract: freeing a bulk (non-dynamic) slab,
-/// or freeing a handle that is already free. Raised instead of silent UB
-/// when checks are on (the default; see set_checks / GraphConfig::arena_checks).
+/// or freeing a handle that is already free. Raised instead of silent UB, in
+/// every build.
 class ArenaFault : public std::logic_error {
  public:
   explicit ArenaFault(const std::string& what) : std::logic_error(what) {}
@@ -109,8 +109,8 @@ class SlabArena {
   /// calls. The one sanctioned way to reclaim "static" memory: individual
   /// base slabs stay unreclaimable (free() on one raises ArenaFault), but a
   /// REBUILT table's old range has no live references by construction.
-  /// Freeing a range that overlaps an already-free one raises ArenaFault
-  /// while checks are on. Bulk chunks whose every handed-out slab came back
+  /// Freeing a range that overlaps an already-free one raises ArenaFault.
+  /// Bulk chunks whose every handed-out slab came back
   /// are released by release_empty_chunks. Quiescent-only with respect to
   /// readers of the range (the rebuild path's phase fence provides that).
   void free_contiguous(SlabHandle first, std::uint32_t count);
@@ -131,9 +131,8 @@ class SlabArena {
   SlabHandle try_allocate(std::uint32_t fill_word, std::uint32_t seed = 0);
 
   /// Returns a dynamic slab to the arena. Freeing a bulk slab or an
-  /// already-free handle raises ArenaFault while checks are on (the
-  /// default); with checks off the call is ignored (and still asserts in
-  /// debug builds). The paper never reclaims base slabs.
+  /// already-free handle raises ArenaFault. The paper never reclaims base
+  /// slabs.
   /// Fast path: the handle parks in the calling thread's free-slab cache
   /// for the next allocate(); the cache spills to the shared bitmap.
   void free(SlabHandle handle);
@@ -142,11 +141,6 @@ class SlabArena {
   /// [1, kMaxChunks]. Existing chunks beyond a lowered limit stay usable;
   /// only further growth is refused. Call while quiescent.
   void set_chunk_limit(std::uint32_t max_chunks) noexcept;
-
-  /// Enables/disables the always-on misuse checks in free() (double free,
-  /// free of a non-dynamic slab). On by default; GraphConfig::arena_checks
-  /// threads through here. Call while quiescent.
-  void set_checks(bool enabled) noexcept { checks_ = enabled; }
 
   /// Handle -> storage. Valid for any live handle; lock-free.
   Slab& resolve(SlabHandle handle) const;
@@ -249,7 +243,6 @@ class SlabArena {
   std::atomic<std::uint32_t> num_chunks_{0};
   std::unique_ptr<FreeCache[]> free_caches_;
   std::atomic<std::uint32_t> chunk_limit_{kMaxChunks};
-  bool checks_ = true;
 
   // Bulk (base-slab) bump state. bulk_free_ holds ranges returned by
   // free_contiguous, address-ordered and coalesced within each chunk;

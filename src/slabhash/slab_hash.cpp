@@ -1,4 +1,4 @@
-#include "src/slabhash/slab_map.hpp"
+#include "src/slabhash/slab_hash.hpp"
 
 #include <bit>
 #include <cstring>
@@ -8,12 +8,17 @@
 #include "src/simt/simd.hpp"
 #include "src/simt/warp.hpp"
 
-// Hot paths (replace / erase / search / for_each) execute the paper's
+// Hot paths (insert / erase / search / for_each) execute the paper's
 // warp-parallel slab operation as one vectorized compare per slab
 // (simt::probe_slab -> ballot-style masks -> ffs), not a per-word loop of
 // atomic loads. CAS is kept only for the slot being claimed or tombstoned;
 // every read before that is a plain vector load, which the
 // phase-concurrent model permits (a stale word is re-checked by the CAS).
+//
+// Both slab formats are instantiated at the bottom of this file; the code
+// stays out of line, in this one translation unit, so adding to it does
+// not move the inlining of the graph's staging and apply paths
+// (docs/PERF.md "Code placement").
 
 namespace sg::slabhash {
 
@@ -45,7 +50,7 @@ SlabHandle extend_chain(memory::SlabArena& arena, Slab& slab,
 }
 
 /// Shared exhaustion exit of the scalar mutation paths (status == nullptr):
-/// preserves the historical throwing contract.
+/// preserves the throwing contract.
 [[noreturn]] void throw_exhausted() {
   throw memory::ArenaExhausted(
       "slabhash: cannot extend bucket chain: arena exhausted");
@@ -59,7 +64,7 @@ struct PairClaim {
 /// Claims the <key, value> pair at the (even, odd) word pair starting at
 /// `pair_words` with ONE 64-bit CAS, so no reader can ever observe a claimed
 /// key without its value — this closes the read-your-write window between
-/// the old key CAS and the follow-up value store. The expected state is
+/// a key CAS and a follow-up value store. The expected state is
 /// (EMPTY, EMPTY): insertion only claims EMPTY slots, and a slot's value
 /// word is EMPTY whenever its key word is (allocation fills both,
 /// clear/flush reset both, and this CAS writes both).
@@ -84,11 +89,53 @@ inline PairClaim claim_pair(std::uint32_t* pair_words, std::uint32_t key,
                      kKeyInLowHalf ? observed : observed >> 32)};
 }
 
-}  // namespace
+/// Result of claiming one EMPTY slot for a key.
+enum class Claim {
+  kWon,      ///< the key now occupies the slot: a new key
+  kSameKey,  ///< a racing insert of the same key won: not new
+  kTaken,    ///< a different key won the slot: try the next EMPTY one
+};
 
-namespace {
+/// The format's claim of the EMPTY slot whose key sits at `slab.words[w]`:
+/// the map publishes key and value with one 64-bit CAS (and, on losing to
+/// the same key, overwrites its value); the set CASes the key word alone.
+template <class Layout>
+inline Claim claim_slot(Slab& slab, int w, std::uint32_t key,
+                        [[maybe_unused]] std::uint32_t value) noexcept {
+  if constexpr (Layout::kHasValues) {
+    const PairClaim claim = claim_pair(&slab.words[w], key, value);
+    if (claim.success) return Claim::kWon;
+    if (claim.observed_key != key) return Claim::kTaken;
+    atomic_store(slab.words[w + 1], value);
+    return Claim::kSameKey;
+  } else {
+    const std::uint32_t observed = atomic_cas(slab.words[w], kEmptyKey, key);
+    if (observed == kEmptyKey) return Claim::kWon;
+    return observed == key ? Claim::kSameKey : Claim::kTaken;
+  }
+}
 
-/// map_replace after hashing: shared by the scalar entry point and the bulk
+/// A present key's new value ("most recent edge and its weight will be
+/// stored"); the set has nothing to overwrite.
+template <class Layout>
+inline void overwrite_value(Slab& slab, int w,
+                            [[maybe_unused]] std::uint32_t value) noexcept {
+  if constexpr (Layout::kHasValues) atomic_store(slab.words[w + 1], value);
+}
+
+/// Live key words of a slab snapshot: key words below the first EMPTY
+/// slot (empties only at the slab tail) that are not tombstoned.
+template <class Layout>
+inline std::uint32_t live_key_words(const std::uint32_t* snap) noexcept {
+  const std::uint32_t empties =
+      simt::empty_mask(snap, kEmptyKey) & Layout::kKeyWordsMask;
+  const std::uint32_t tombs =
+      simt::tombstone_mask(snap, kTombstoneKey) & Layout::kKeyWordsMask;
+  return Layout::kKeyWordsMask & ~tombs &
+         simt::bits_below(std::countr_zero(empties));
+}
+
+/// insert after hashing: shared by the scalar entry point and the bulk
 /// path's singleton runs (which arrive pre-hashed). `chain_slabs`, when
 /// non-null, receives how deep into the chain the walk went (1 = base).
 /// On arena exhaustion: records the failure into `status` when given (the
@@ -99,12 +146,12 @@ namespace {
 /// per mask, and a peer claiming this key between the two reads leaves its
 /// slot in neither the match nor the EMPTY mask, so both callers would
 /// claim a slot of their own.
-template <bool kSharedBucket>
-bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
-                       std::uint32_t bucket, std::uint32_t key,
-                       std::uint32_t value, std::uint32_t alloc_seed,
-                       std::uint32_t* chain_slabs = nullptr,
-                       BulkStatus* status = nullptr) {
+template <class Layout, bool kSharedBucket>
+bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
+                      std::uint32_t bucket, std::uint32_t key,
+                      std::uint32_t value, std::uint32_t alloc_seed,
+                      std::uint32_t* chain_slabs = nullptr,
+                      BulkStatus* status = nullptr) {
   SlabHandle handle = table.bucket_head(bucket);
   // The walked depth is kept in a register and published only at the exits:
   // a per-slab store through chain_slabs could alias slab words and force
@@ -122,27 +169,21 @@ bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
     }
     const simt::SlabProbe probe =
         simt::probe_slab(words, key, kEmptyKey, kTombstoneKey);
-    const std::uint32_t match = probe.match & kMapKeyWordsMask;
-    if (match != 0) {  // key already stored: overwrite the value
-      atomic_store(slab.words[std::countr_zero(match) + 1], value);
+    const std::uint32_t match = probe.match & Layout::kKeyWordsMask;
+    if (match != 0) {  // key already stored
+      overwrite_value<Layout>(slab, std::countr_zero(match), value);
       if (chain_slabs != nullptr) *chain_slabs = depth;
       return false;
     }
-    // Claim the first EMPTY key slot with a single 64-bit key+value CAS;
-    // on a lost race fall through to the next candidate (tombstones are
-    // never reused by insertion).
-    std::uint32_t empties = probe.empty & kMapKeyWordsMask;
+    // Claim the first EMPTY key slot; on a lost race fall through to the
+    // next candidate (tombstones are never reused by insertion).
+    std::uint32_t empties = probe.empty & Layout::kKeyWordsMask;
     while (empties != 0) {
-      const int key_word = std::countr_zero(empties);
-      const PairClaim claim = claim_pair(&slab.words[key_word], key, value);
-      if (claim.success) {
+      const Claim claim =
+          claim_slot<Layout>(slab, std::countr_zero(empties), key, value);
+      if (claim != Claim::kTaken) {
         if (chain_slabs != nullptr) *chain_slabs = depth;
-        return true;
-      }
-      if (claim.observed_key == key) {  // lost the race to an identical key
-        atomic_store(slab.words[key_word + 1], value);
-        if (chain_slabs != nullptr) *chain_slabs = depth;
-        return false;
+        return claim == Claim::kWon;
       }
       empties &= empties - 1;  // a different key claimed the slot
     }
@@ -162,7 +203,8 @@ bool replace_in_bucket(memory::SlabArena& arena, TableRef table,
   }
 }
 
-/// map_erase after hashing (scalar entry point + singleton bulk runs).
+/// erase after hashing (scalar entry point + singleton bulk runs).
+template <class Layout>
 bool erase_in_bucket(memory::SlabArena& arena, TableRef table,
                      std::uint32_t bucket, std::uint32_t key,
                      std::uint32_t* chain_slabs = nullptr) {
@@ -174,7 +216,7 @@ bool erase_in_bucket(memory::SlabArena& arena, TableRef table,
     Slab& slab = arena.resolve(handle);
     const simt::SlabProbe probe =
         simt::probe_slab(slab.words, key, kEmptyKey, kTombstoneKey);
-    const std::uint32_t match = probe.match & kMapKeyWordsMask;
+    const std::uint32_t match = probe.match & Layout::kKeyWordsMask;
     if (match != 0) {
       // CAS (not a plain store) so two warps deleting the same key only
       // decrement the edge counter once.
@@ -182,17 +224,21 @@ bool erase_in_bucket(memory::SlabArena& arena, TableRef table,
                            kTombstoneKey) == key;
       break;
     }
-    if ((probe.empty & kMapKeyWordsMask) != 0) break;  // empties at the tail
+    // Empties at the tail: an EMPTY slot means the key is absent.
+    if ((probe.empty & Layout::kKeyWordsMask) != 0) break;
     handle = atomic_load(slab.words[kNextPtrWord]);
   }
   if (chain_slabs != nullptr) *chain_slabs = depth;
   return removed;
 }
 
-/// map_search after hashing (scalar entry point + singleton bulk runs).
-/// No snapshot copy: keys publish together with their values in one 64-bit
-/// CAS (claim_pair), so a matched key's value word is always valid — even
-/// mid-insert-phase a reader can never catch the pair half-written.
+/// search after hashing (scalar entry point + singleton bulk runs). A GPU
+/// warp compares all 32 slab words in one step; here that is one vector
+/// compare per slab. No snapshot copy: the map publishes keys together with
+/// their values in one 64-bit CAS (claim_pair), so a matched key's value
+/// word is always valid — even mid-insert-phase a reader can never catch
+/// the pair half-written.
+template <class Layout>
 MapFindResult search_in_bucket(const memory::SlabArena& arena, TableRef table,
                                std::uint32_t bucket, std::uint32_t key) {
   SlabHandle handle = table.bucket_head(bucket);
@@ -200,11 +246,15 @@ MapFindResult search_in_bucket(const memory::SlabArena& arena, TableRef table,
     const Slab& slab = arena.resolve(handle);
     const simt::SlabProbe probe =
         simt::probe_slab(slab.words, key, kEmptyKey, kTombstoneKey);
-    const std::uint32_t match = probe.match & kMapKeyWordsMask;
+    const std::uint32_t match = probe.match & Layout::kKeyWordsMask;
     if (match != 0) {
-      return {true, atomic_load(slab.words[std::countr_zero(match) + 1])};
+      if constexpr (Layout::kHasValues) {
+        return {true, atomic_load(slab.words[std::countr_zero(match) + 1])};
+      } else {
+        return {true, 0};
+      }
     }
-    if ((probe.empty & kMapKeyWordsMask) != 0) return {};
+    if ((probe.empty & Layout::kKeyWordsMask) != 0) return {};
     handle = atomic_load(slab.words[kNextPtrWord]);
   }
   return {};
@@ -212,24 +262,38 @@ MapFindResult search_in_bucket(const memory::SlabArena& arena, TableRef table,
 
 }  // namespace
 
-bool map_replace(memory::SlabArena& arena, TableRef table, std::uint32_t key,
-                 std::uint32_t value, std::uint64_t seed,
-                 std::uint32_t alloc_seed) {
-  return replace_in_bucket<true>(arena, table,
-                                 bucket_of(key, table.num_buckets, seed), key,
-                                 value, alloc_seed);
+template <class Layout>
+bool SlabOps<Layout>::insert(memory::SlabArena& arena, TableRef table,
+                             std::uint32_t key, std::uint32_t value,
+                             std::uint64_t seed, std::uint32_t alloc_seed) {
+  return insert_in_bucket<Layout, true>(
+      arena, table, bucket_of(key, table.num_buckets, seed), key, value,
+      alloc_seed);
 }
 
-bool map_erase(memory::SlabArena& arena, TableRef table, std::uint32_t key,
-               std::uint64_t seed) {
-  return erase_in_bucket(arena, table, bucket_of(key, table.num_buckets, seed),
-                         key);
+template <class Layout>
+bool SlabOps<Layout>::erase(memory::SlabArena& arena, TableRef table,
+                            std::uint32_t key, std::uint64_t seed) {
+  return erase_in_bucket<Layout>(
+      arena, table, bucket_of(key, table.num_buckets, seed), key);
 }
 
-MapFindResult map_search(const memory::SlabArena& arena, TableRef table,
-                         std::uint32_t key, std::uint64_t seed) {
-  return search_in_bucket(arena, table,
-                          bucket_of(key, table.num_buckets, seed), key);
+template <class Layout>
+bool SlabOps<Layout>::contains(const memory::SlabArena& arena, TableRef table,
+                               std::uint32_t key, std::uint64_t seed) {
+  return search_in_bucket<Layout>(
+             arena, table, bucket_of(key, table.num_buckets, seed), key)
+      .found;
+}
+
+template <class Layout>
+MapFindResult SlabOps<Layout>::search(const memory::SlabArena& arena,
+                                      TableRef table, std::uint32_t key,
+                                      std::uint64_t seed)
+  requires kHasValues
+{
+  return search_in_bucket<Layout>(
+      arena, table, bucket_of(key, table.num_buckets, seed), key);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,15 +303,24 @@ MapFindResult map_search(const memory::SlabArena& arena, TableRef table,
 // the successor slab prefetched while the compares resolve.
 // ---------------------------------------------------------------------------
 
-std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
-                               std::uint32_t bucket, const std::uint32_t* keys,
-                               const std::uint32_t* values, std::uint32_t count,
-                               std::uint32_t alloc_seed,
-                               std::uint32_t* chain_slabs,
-                               BulkStatus* status) {
+template <class Layout>
+std::uint32_t SlabOps<Layout>::bulk_insert(
+    memory::SlabArena& arena, TableRef table, std::uint32_t bucket,
+    const std::uint32_t* keys, [[maybe_unused]] const std::uint32_t* values,
+    std::uint32_t count, std::uint32_t alloc_seed, std::uint32_t* chain_slabs,
+    BulkStatus* status) {
+  // The set has no values: every value argument below is unused.
+  const auto value_at = [values](std::uint32_t i) -> std::uint32_t {
+    if constexpr (kHasValues) {
+      return values[i];
+    } else {
+      return 0;
+    }
+  };
   if (count == 1) {  // singleton run: sparse batches are mostly these
-    return replace_in_bucket<false>(arena, table, bucket, keys[0], values[0],
-                                    alloc_seed, chain_slabs, status)
+    return insert_in_bucket<Layout, false>(arena, table, bucket, keys[0],
+                                           value_at(0), alloc_seed,
+                                           chain_slabs, status)
                ? 1u
                : 0u;
   }
@@ -279,34 +352,32 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
         if (!probed) {
           const simt::SlabProbe probe = simt::probe_slab(
               slab.words, keys[base + lane], kEmptyKey, kTombstoneKey);
-          match = probe.match & kMapKeyWordsMask;
-          empties = probe.empty & kMapKeyWordsMask;
+          match = probe.match & Layout::kKeyWordsMask;
+          empties = probe.empty & Layout::kKeyWordsMask;
           probed = true;
         } else {
           match = simt::match_mask(slab.words, keys[base + lane]) &
-                  kMapKeyWordsMask;
+                  Layout::kKeyWordsMask;
         }
         if (match != 0) {  // already stored: overwrite the value, not new
-          atomic_store(slab.words[std::countr_zero(match) + 1],
-                       values[base + lane]);
+          overwrite_value<Layout>(slab, std::countr_zero(match),
+                                  value_at(base + lane));
           pending &= ~(1u << lane);
         }
       }
       for (std::uint32_t m = pending; m != 0 && empties != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);
-        const std::uint32_t key = keys[base + lane];
         while (empties != 0) {
           const int key_word = std::countr_zero(empties);
-          const PairClaim claim =
-              claim_pair(&slab.words[key_word], key, values[base + lane]);
-          if (claim.success) {
+          const Claim claim = claim_slot<Layout>(
+              slab, key_word, keys[base + lane], value_at(base + lane));
+          if (claim == Claim::kWon) {
             ++added;
             pending &= ~(1u << lane);
             empties &= ~(1u << key_word);
             break;
           }
-          if (claim.observed_key == key) {  // racing identical key
-            atomic_store(slab.words[key_word + 1], values[base + lane]);
+          if (claim == Claim::kSameKey) {  // racing identical key
             pending &= ~(1u << lane);
             break;
           }
@@ -338,11 +409,16 @@ std::uint32_t map_bulk_replace(memory::SlabArena& arena, TableRef table,
   return added;
 }
 
-std::uint32_t map_bulk_erase(memory::SlabArena& arena, TableRef table,
-                             std::uint32_t bucket, const std::uint32_t* keys,
-                             std::uint32_t count, std::uint32_t* chain_slabs) {
+template <class Layout>
+std::uint32_t SlabOps<Layout>::bulk_erase(memory::SlabArena& arena,
+                                          TableRef table, std::uint32_t bucket,
+                                          const std::uint32_t* keys,
+                                          std::uint32_t count,
+                                          std::uint32_t* chain_slabs) {
   if (count == 1) {
-    return erase_in_bucket(arena, table, bucket, keys[0], chain_slabs) ? 1u : 0u;
+    return erase_in_bucket<Layout>(arena, table, bucket, keys[0], chain_slabs)
+               ? 1u
+               : 0u;
   }
   std::uint32_t removed = 0;
   std::uint32_t max_depth = 0;
@@ -369,11 +445,11 @@ std::uint32_t map_bulk_erase(memory::SlabArena& arena, TableRef table,
         if (!probed) {
           const simt::SlabProbe probe =
               simt::probe_slab(slab.words, key, kEmptyKey, kTombstoneKey);
-          match = probe.match & kMapKeyWordsMask;
-          empties = probe.empty & kMapKeyWordsMask;
+          match = probe.match & Layout::kKeyWordsMask;
+          empties = probe.empty & Layout::kKeyWordsMask;
           probed = true;
         } else {
-          match = simt::match_mask(slab.words, key) & kMapKeyWordsMask;
+          match = simt::match_mask(slab.words, key) & Layout::kKeyWordsMask;
         }
         if (match != 0) {
           // CAS so a concurrent erase of the same key counts only once.
@@ -395,14 +471,20 @@ std::uint32_t map_bulk_erase(memory::SlabArena& arena, TableRef table,
   return removed;
 }
 
-void map_bulk_search(const memory::SlabArena& arena, TableRef table,
-                     std::uint32_t bucket, const std::uint32_t* keys,
-                     std::uint32_t count, std::uint8_t* found,
-                     std::uint32_t* values, std::uint32_t* chain_slabs) {
+template <class Layout>
+void SlabOps<Layout>::bulk_search(const memory::SlabArena& arena,
+                                  TableRef table, std::uint32_t bucket,
+                                  const std::uint32_t* keys,
+                                  std::uint32_t count, std::uint8_t* found,
+                                  [[maybe_unused]] std::uint32_t* values,
+                                  std::uint32_t* chain_slabs) {
   if (count == 1 && chain_slabs == nullptr) {
-    const MapFindResult r = search_in_bucket(arena, table, bucket, keys[0]);
+    const MapFindResult r =
+        search_in_bucket<Layout>(arena, table, bucket, keys[0]);
     found[0] = r.found ? 1 : 0;
-    if (values != nullptr && r.found) values[0] = r.value;
+    if constexpr (kHasValues) {
+      if (values != nullptr && r.found) values[0] = r.value;
+    }
     return;
   }
   // Chain depth is register-held and published once at exit, matching the
@@ -429,18 +511,20 @@ void map_bulk_search(const memory::SlabArena& arena, TableRef table,
         if (!probed) {
           const simt::SlabProbe probe = simt::probe_slab(
               slab.words, keys[base + lane], kEmptyKey, kTombstoneKey);
-          match = probe.match & kMapKeyWordsMask;
-          empties = probe.empty & kMapKeyWordsMask;
+          match = probe.match & Layout::kKeyWordsMask;
+          empties = probe.empty & Layout::kKeyWordsMask;
           probed = true;
         } else {
           match = simt::match_mask(slab.words, keys[base + lane]) &
-                  kMapKeyWordsMask;
+                  Layout::kKeyWordsMask;
         }
         if (match != 0) {
           found[base + lane] = 1;
-          if (values != nullptr) {
-            values[base + lane] =
-                atomic_load(slab.words[std::countr_zero(match) + 1]);
+          if constexpr (kHasValues) {
+            if (values != nullptr) {
+              values[base + lane] =
+                  atomic_load(slab.words[std::countr_zero(match) + 1]);
+            }
           }
           pending &= ~(1u << lane);
         }
@@ -453,34 +537,34 @@ void map_bulk_search(const memory::SlabArena& arena, TableRef table,
   if (chain_slabs != nullptr) *chain_slabs = deepest;
 }
 
-void map_for_each(const memory::SlabArena& arena, TableRef table,
-                  const std::function<void(std::uint32_t, std::uint32_t)>& fn) {
+template <class Layout>
+void SlabOps<Layout>::for_each(
+    const memory::SlabArena& arena, TableRef table,
+    const std::function<void(std::uint32_t, std::uint32_t)>& fn) {
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
     SlabHandle handle = table.bucket_head(b);
     while (handle != kNullSlab) {
       std::uint32_t snap[memory::kWordsPerSlab];
       simt::snapshot_slab(arena.resolve(handle), snap);
-      const std::uint32_t empties =
-          simt::empty_mask(snap, kEmptyKey) & kMapKeyWordsMask;
-      const std::uint32_t tombs =
-          simt::tombstone_mask(snap, kTombstoneKey) & kMapKeyWordsMask;
-      // Live pairs sit below the first EMPTY slot (empties only at the
-      // slab tail); tombstoned slots are skipped.
-      std::uint32_t live = kMapKeyWordsMask & ~tombs &
-                           simt::bits_below(std::countr_zero(empties));
-      while (live != 0) {
+      for (std::uint32_t live = live_key_words<Layout>(snap); live != 0;
+           live &= live - 1) {
         const int key_word = std::countr_zero(live);
-        fn(snap[key_word], snap[key_word + 1]);
-        live &= live - 1;
+        if constexpr (kHasValues) {
+          fn(snap[key_word], snap[key_word + 1]);
+        } else {
+          fn(snap[key_word], 0);
+        }
       }
       handle = snap[kNextPtrWord];
     }
   }
 }
 
-std::uint32_t map_gather(const memory::SlabArena& arena, TableRef table,
-                         std::uint32_t* out, std::uint32_t cap,
-                         std::uint32_t* chain_slabs) {
+template <class Layout>
+std::uint32_t SlabOps<Layout>::gather(const memory::SlabArena& arena,
+                                      TableRef table, std::uint32_t* out,
+                                      std::uint32_t cap,
+                                      std::uint32_t* chain_slabs) {
   std::uint32_t written = 0;
   std::uint32_t deepest = 0;  // register-held, published once at exit
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
@@ -492,12 +576,7 @@ std::uint32_t map_gather(const memory::SlabArena& arena, TableRef table,
       simt::snapshot_slab(arena.resolve(handle), snap);
       const SlabHandle next = snap[kNextPtrWord];
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
-      const std::uint32_t empties =
-          simt::empty_mask(snap, kEmptyKey) & kMapKeyWordsMask;
-      const std::uint32_t tombs =
-          simt::tombstone_mask(snap, kTombstoneKey) & kMapKeyWordsMask;
-      std::uint32_t live = kMapKeyWordsMask & ~tombs &
-                           simt::bits_below(std::countr_zero(empties));
+      std::uint32_t live = live_key_words<Layout>(snap);
       while (live != 0 && written < cap) {
         out[written++] = snap[std::countr_zero(live)];
         live &= live - 1;
@@ -510,9 +589,15 @@ std::uint32_t map_gather(const memory::SlabArena& arena, TableRef table,
   return written;
 }
 
-std::uint32_t map_scan_below(const memory::SlabArena& arena, TableRef table,
-                             std::uint32_t threshold, std::uint32_t* out,
-                             std::uint32_t cap, std::uint32_t* chain_slabs) {
+template <class Layout>
+std::uint32_t SlabOps<Layout>::scan_below(const memory::SlabArena& arena,
+                                          TableRef table,
+                                          std::uint32_t threshold,
+                                          std::uint32_t* out,
+                                          std::uint32_t cap,
+                                          std::uint32_t* chain_slabs)
+  requires kHasValues
+{
   std::uint32_t written = 0;
   std::uint32_t deepest = 0;  // register-held, published once at exit
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
@@ -524,12 +609,7 @@ std::uint32_t map_scan_below(const memory::SlabArena& arena, TableRef table,
       simt::snapshot_slab(arena.resolve(handle), snap);
       const SlabHandle next = snap[kNextPtrWord];
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
-      const std::uint32_t empties =
-          simt::empty_mask(snap, kEmptyKey) & kMapKeyWordsMask;
-      const std::uint32_t tombs =
-          simt::tombstone_mask(snap, kTombstoneKey) & kMapKeyWordsMask;
-      std::uint32_t live = kMapKeyWordsMask & ~tombs &
-                           simt::bits_below(std::countr_zero(empties));
+      std::uint32_t live = live_key_words<Layout>(snap);
       while (live != 0 && written < cap) {
         const int key_word = std::countr_zero(live);
         if (snap[key_word + 1] < threshold) out[written++] = snap[key_word];
@@ -543,8 +623,10 @@ std::uint32_t map_scan_below(const memory::SlabArena& arena, TableRef table,
   return written;
 }
 
-TableOccupancy map_occupancy(const memory::SlabArena& arena, TableRef table) {
-  // One probe per slab + three popcounts, instead of a per-pair word loop.
+template <class Layout>
+TableOccupancy SlabOps<Layout>::occupancy(const memory::SlabArena& arena,
+                                          TableRef table) {
+  // One probe per slab + three popcounts, instead of a per-slot word loop.
   TableOccupancy occ;
   occ.base_slabs = table.num_buckets;
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
@@ -553,13 +635,13 @@ TableOccupancy map_occupancy(const memory::SlabArena& arena, TableRef table) {
     while (handle != kNullSlab) {
       const Slab& slab = arena.resolve(handle);
       if (!base) ++occ.overflow_slabs;
-      occ.slots += kMapPairsPerSlab;
+      occ.slots += Layout::kSlotsPerSlab;
       const simt::SlabProbe probe =
           simt::probe_slab(slab.words, kEmptyKey, kEmptyKey, kTombstoneKey);
-      const std::uint32_t empties = probe.empty & kMapKeyWordsMask;
-      const std::uint32_t tombs = probe.tombstone & kMapKeyWordsMask;
+      const std::uint32_t empties = probe.empty & Layout::kKeyWordsMask;
+      const std::uint32_t tombs = probe.tombstone & Layout::kKeyWordsMask;
       occ.tombstones += simt::popc(tombs);
-      occ.live_keys += simt::popc(kMapKeyWordsMask & ~empties & ~tombs);
+      occ.live_keys += simt::popc(Layout::kKeyWordsMask & ~empties & ~tombs);
       handle = slab.words[kNextPtrWord];
       base = false;
     }
@@ -567,11 +649,16 @@ TableOccupancy map_occupancy(const memory::SlabArena& arena, TableRef table) {
   return occ;
 }
 
-void map_flush_tombstones(memory::SlabArena& arena, TableRef table) {
+template <class Layout>
+void SlabOps<Layout>::flush_tombstones(memory::SlabArena& arena,
+                                       TableRef table) {
+  // A slot is kKeyStride words: the key, then (map) its value. Slots move
+  // as whole word groups, so the pair move needs no format branch.
+  constexpr int kStride = Layout::kKeyStride;
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
-    // Collect live pairs of this bucket chain, then rewrite the chain
+    // Collect the live slots of this bucket chain, then rewrite the chain
     // densely and free overflow slabs that became empty.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> live;
+    std::vector<std::uint32_t> live;
     std::vector<SlabHandle> chain;
     SlabHandle handle = table.bucket_head(b);
     while (handle != kNullSlab) {
@@ -580,10 +667,11 @@ void map_flush_tombstones(memory::SlabArena& arena, TableRef table) {
       const simt::SlabProbe probe =
           simt::probe_slab(slab.words, kEmptyKey, kEmptyKey, kTombstoneKey);
       std::uint32_t live_mask =
-          kMapKeyWordsMask & ~probe.empty & ~probe.tombstone;
+          Layout::kKeyWordsMask & ~probe.empty & ~probe.tombstone;
       while (live_mask != 0) {
         const int key_word = std::countr_zero(live_mask);
-        live.emplace_back(slab.words[key_word], slab.words[key_word + 1]);
+        live.insert(live.end(), slab.words + key_word,
+                    slab.words + key_word + kStride);
         live_mask &= live_mask - 1;
       }
       handle = slab.words[kNextPtrWord];
@@ -592,17 +680,9 @@ void map_flush_tombstones(memory::SlabArena& arena, TableRef table) {
     std::size_t keep_slabs = 0;
     for (std::size_t s = 0; s < chain.size(); ++s) {
       Slab& slab = arena.resolve(chain[s]);
-      bool any = false;
-      for (int pair = 0; pair < kMapPairsPerSlab; ++pair) {
-        if (cursor < live.size()) {
-          slab.words[pair * 2] = live[cursor].first;
-          slab.words[pair * 2 + 1] = live[cursor].second;
-          ++cursor;
-          any = true;
-        } else {
-          slab.words[pair * 2] = kEmptyKey;
-          slab.words[pair * 2 + 1] = kEmptyKey;
-        }
+      const bool any = cursor < live.size();
+      for (int w = 0; w < Layout::kSlotsPerSlab * kStride; ++w) {
+        slab.words[w] = cursor < live.size() ? live[cursor++] : kEmptyKey;
       }
       if (any || s == 0) keep_slabs = s + 1;
     }
@@ -617,7 +697,8 @@ void map_flush_tombstones(memory::SlabArena& arena, TableRef table) {
   }
 }
 
-void map_clear(memory::SlabArena& arena, TableRef table) {
+template <class Layout>
+void SlabOps<Layout>::clear(memory::SlabArena& arena, TableRef table) {
   // kEmptyKey (== kNullSlab) is all-ones, so one 128-byte memset resets
   // keys, values, the reserved word, and the next pointer at once.
   static_assert(kEmptyKey == 0xFFFFFFFFu && memory::kNullSlab == 0xFFFFFFFFu);
@@ -633,11 +714,7 @@ void map_clear(memory::SlabArena& arena, TableRef table) {
   }
 }
 
-SlabHashMap::SlabHashMap(memory::SlabArena& arena, std::uint32_t num_buckets,
-                         std::uint64_t seed)
-    : arena_(&arena), seed_(seed) {
-  table_.num_buckets = num_buckets == 0 ? 1 : num_buckets;
-  table_.base = arena.allocate_contiguous(table_.num_buckets, kEmptyKey);
-}
+template struct SlabOps<MapLayout>;
+template struct SlabOps<SetLayout>;
 
 }  // namespace sg::slabhash

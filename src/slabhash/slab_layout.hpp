@@ -1,4 +1,6 @@
-// Shared slab layout for the SlabHash concurrent map and concurrent set.
+// Shared slab layout for the SlabHash concurrent map and concurrent set,
+// and the two format types (MapLayout, SetLayout) that SlabOps is
+// instantiated on (src/slabhash/slab_hash.hpp).
 //
 // A slab is 32 uint32 words (128 bytes), matching SlabHash on the GPU:
 //
@@ -15,6 +17,7 @@
 // the invariant the paper relies on for fast searches.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "src/memory/slab_arena.hpp"
@@ -29,15 +32,32 @@ inline constexpr std::uint32_t kMaxKey = 0xFFFFFFFDu;  ///< largest storable key
 inline constexpr int kNextPtrWord = 31;
 inline constexpr int kReservedWord = 30;
 
-inline constexpr int kMapPairsPerSlab = 15;  ///< Bc for the concurrent map
-inline constexpr int kSetKeysPerSlab = 30;   ///< Bc for the concurrent set
+/// Slab format of the concurrent map: 15 <key, value> pairs, the key at an
+/// even word and its value at the following odd word. Bc = 15 (§IV-A2).
+/// `kKeyWordsMask` selects the key words (bit w = slab word w) and is
+/// consumed against the ballot-style masks simt::probe_slab() produces.
+struct MapLayout {
+  static constexpr std::uint32_t kKeyWordsMask = 0x15555555u;  ///< 0, 2, .., 28
+  static constexpr int kSlotsPerSlab = 15;
+  static constexpr int kKeyStride = 2;  ///< words from one key to the next
+  static constexpr bool kHasValues = true;
+};
 
-/// Lane masks (bit w = slab word w) selecting the words that hold keys,
-/// consumed against the ballot-style masks simt::probe_slab() produces:
-/// even words 0..28 for the map's 15 <key,value> pairs, words 0..29 for the
-/// set's 30 keys. Word 30 (reserved) and word 31 (next pointer) never match.
-inline constexpr std::uint32_t kMapKeyWordsMask = 0x15555555u;
-inline constexpr std::uint32_t kSetKeyWordsMask = 0x3FFFFFFFu;
+/// Slab format of the concurrent set: 30 keys, no values. Bc = 30.
+struct SetLayout {
+  static constexpr std::uint32_t kKeyWordsMask = 0x3FFFFFFFu;  ///< 0 .. 29
+  static constexpr int kSlotsPerSlab = 30;
+  static constexpr int kKeyStride = 1;
+  static constexpr bool kHasValues = false;
+};
+
+// One mask bit per slot; word 30 (reserved) and word 31 (next pointer)
+// never hold a key.
+template <class Layout>
+constexpr bool kValidLayout =
+    std::popcount(Layout::kKeyWordsMask) == Layout::kSlotsPerSlab &&
+    Layout::kSlotsPerSlab * Layout::kKeyStride <= kReservedWord;
+static_assert(kValidLayout<MapLayout> && kValidLayout<SetLayout>);
 
 /// A hash table as the graph sees it: `num_buckets` base slabs starting at
 /// contiguous handle `base`. Collision slabs are chained off word 31.
@@ -81,12 +101,12 @@ inline std::uint32_t buckets_for(std::uint64_t expected_keys, double load_factor
   return static_cast<std::uint32_t>(clamped);
 }
 
-/// Outcome of an allocating bulk operation (map_bulk_replace /
-/// set_bulk_insert) when the caller opts into status reporting. The wave
-/// structure applies keys out of order within a 32-key window, so a failure
-/// is not a prefix: `fail_base` is the index of the failing wave's first
-/// key and `fail_pending` the lane mask (bit i = keys[fail_base + i]) of
-/// keys in that wave still unapplied when the chain could not grow. Every
+/// Outcome of an allocating bulk operation (SlabOps::bulk_insert) when the
+/// caller opts into status reporting. The wave structure applies keys out
+/// of order within a 32-key window, so a failure is not a prefix:
+/// `fail_base` is the index of the failing wave's first key and
+/// `fail_pending` the lane mask (bit i = keys[fail_base + i]) of keys in
+/// that wave still unapplied when the chain could not grow. Every
 /// key at index >= fail_base + 32 is also unapplied. Keys outside that set
 /// were fully applied and ARE counted in the operation's return value, so
 /// per-vertex counters stay exact across an abort.

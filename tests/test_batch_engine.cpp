@@ -16,8 +16,7 @@
 #include "src/core/vertex_dictionary.hpp"
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
-#include "src/slabhash/slab_map.hpp"
-#include "src/slabhash/slab_set.hpp"
+#include "src/slabhash/slab_hash.hpp"
 #include "src/util/prng.hpp"
 #include "tests/graph_test_util.hpp"
 #include "tests/scalar_oracle.hpp"
@@ -288,24 +287,24 @@ TEST(SlabBulkOps, MapBulkMatchesScalarOps) {
   for (auto& [bucket, keys] : by_bucket) {
     std::vector<std::uint32_t> values;
     for (auto k : keys) values.push_back(k * 3);
-    added += slabhash::map_bulk_replace(arena_bulk, table, bucket,
-                                        keys.data(), values.data(),
-                                        static_cast<std::uint32_t>(keys.size()));
+    added += slabhash::MapOps::bulk_insert(
+        arena_bulk, table, bucket, keys.data(), values.data(),
+        static_cast<std::uint32_t>(keys.size()));
   }
-  for (auto& [k, v] : pairs) scalar.replace(k, v);
+  for (auto& [k, v] : pairs) scalar.insert(k, v);
   EXPECT_EQ(added, pairs.size());
 
   // Every key searchable through both bulk and scalar paths.
   for (auto& [bucket, keys] : by_bucket) {
     std::vector<std::uint8_t> found(keys.size(), 0);
     std::vector<std::uint32_t> values(keys.size(), 0);
-    slabhash::map_bulk_search(arena_bulk, table, bucket, keys.data(),
-                              static_cast<std::uint32_t>(keys.size()),
-                              found.data(), values.data());
+    slabhash::MapOps::bulk_search_values(
+        arena_bulk, table, bucket, keys.data(),
+        static_cast<std::uint32_t>(keys.size()), found.data(), values.data());
     for (std::size_t i = 0; i < keys.size(); ++i) {
       EXPECT_EQ(found[i], 1);
       EXPECT_EQ(values[i], keys[i] * 3);
-      const auto r = slabhash::map_search(arena_bulk, table, keys[i], seed);
+      const auto r = slabhash::MapOps::search(arena_bulk, table, keys[i], seed);
       EXPECT_TRUE(r.found);
       EXPECT_EQ(r.value, keys[i] * 3);
     }
@@ -317,12 +316,13 @@ TEST(SlabBulkOps, MapBulkMatchesScalarOps) {
     const auto half =
         std::vector<std::uint32_t>(keys.begin(),
                                    keys.begin() + (keys.size() + 1) / 2);
-    removed += slabhash::map_bulk_erase(arena_bulk, table, bucket, half.data(),
-                                        static_cast<std::uint32_t>(half.size()));
+    removed += slabhash::MapOps::bulk_erase(
+        arena_bulk, table, bucket, half.data(),
+        static_cast<std::uint32_t>(half.size()));
     for (auto k : half) scalar_removed += scalar.erase(k) ? 1 : 0;
   }
   EXPECT_EQ(removed, scalar_removed);
-  const auto bulk_occ = slabhash::map_occupancy(arena_bulk, table);
+  const auto bulk_occ = slabhash::MapOps::occupancy(arena_bulk, table);
   const auto scalar_occ = scalar.occupancy();
   EXPECT_EQ(bulk_occ.live_keys, scalar_occ.live_keys);
   EXPECT_EQ(bulk_occ.tombstones, scalar_occ.tombstones);
@@ -338,25 +338,26 @@ TEST(SlabBulkOps, RunsLongerThanOneWaveSpillAcrossSlabs) {
     keys.push_back(k * 7 + 1);
     values.push_back(k);
   }
-  EXPECT_EQ(slabhash::map_bulk_replace(arena, table, 0, keys.data(),
-                                       values.data(), 100),
+  EXPECT_EQ(slabhash::MapOps::bulk_insert(arena, table, 0, keys.data(),
+                                          values.data(), 100),
             100u);
   // Re-inserting the same run adds nothing but refreshes values.
   for (auto& v : values) v += 1000;
-  EXPECT_EQ(slabhash::map_bulk_replace(arena, table, 0, keys.data(),
-                                       values.data(), 100),
+  EXPECT_EQ(slabhash::MapOps::bulk_insert(arena, table, 0, keys.data(),
+                                          values.data(), 100),
             0u);
   std::vector<std::uint8_t> found(100, 0);
   std::vector<std::uint32_t> got(100, 0);
-  slabhash::map_bulk_search(arena, table, 0, keys.data(), 100, found.data(),
-                            got.data());
+  slabhash::MapOps::bulk_search_values(arena, table, 0, keys.data(), 100,
+                                       found.data(), got.data());
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(found[i], 1);
     EXPECT_EQ(got[i], values[i]);
   }
-  EXPECT_EQ(slabhash::map_bulk_erase(arena, table, 0, keys.data(), 100), 100u);
-  slabhash::map_bulk_search(arena, table, 0, keys.data(), 100, found.data(),
-                            nullptr);
+  EXPECT_EQ(slabhash::MapOps::bulk_erase(arena, table, 0, keys.data(), 100),
+            100u);
+  slabhash::MapOps::bulk_contains(arena, table, 0, keys.data(), 100,
+                                  found.data());
   for (int i = 0; i < 100; ++i) EXPECT_EQ(found[i], 0);
 }
 
@@ -370,17 +371,22 @@ TEST(SlabBulkOps, SetBulkInsertEraseContains) {
   }
   const auto n0 = static_cast<std::uint32_t>(bucket0.size());
   const auto n1 = static_cast<std::uint32_t>(bucket1.size());
-  EXPECT_EQ(slabhash::set_bulk_insert(arena, table, 0, bucket0.data(), n0), n0);
-  EXPECT_EQ(slabhash::set_bulk_insert(arena, table, 1, bucket1.data(), n1), n1);
-  EXPECT_EQ(slabhash::set_bulk_insert(arena, table, 0, bucket0.data(), n0), 0u);
+  EXPECT_EQ(slabhash::SetOps::bulk_insert(arena, table, 0, bucket0.data(),
+                                          nullptr, n0), n0);
+  EXPECT_EQ(slabhash::SetOps::bulk_insert(arena, table, 1, bucket1.data(),
+                                          nullptr, n1), n1);
+  EXPECT_EQ(slabhash::SetOps::bulk_insert(arena, table, 0, bucket0.data(),
+                                          nullptr, n0), 0u);
   std::vector<std::uint8_t> found(n0, 0);
-  slabhash::set_bulk_contains(arena, table, 0, bucket0.data(), n0,
-                              found.data());
+  slabhash::SetOps::bulk_contains(arena, table, 0, bucket0.data(), n0,
+                                  found.data());
   for (std::uint32_t i = 0; i < n0; ++i) EXPECT_EQ(found[i], 1);
-  EXPECT_EQ(slabhash::set_bulk_erase(arena, table, 0, bucket0.data(), n0), n0);
-  EXPECT_EQ(slabhash::set_bulk_erase(arena, table, 0, bucket0.data(), n0), 0u);
+  EXPECT_EQ(slabhash::SetOps::bulk_erase(arena, table, 0, bucket0.data(), n0),
+            n0);
+  EXPECT_EQ(slabhash::SetOps::bulk_erase(arena, table, 0, bucket0.data(), n0),
+            0u);
   for (std::uint32_t k : bucket1) {
-    EXPECT_TRUE(slabhash::set_contains(arena, table, k, 0x5EED));
+    EXPECT_TRUE(slabhash::SetOps::contains(arena, table, k, 0x5EED));
   }
 }
 

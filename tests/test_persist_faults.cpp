@@ -10,71 +10,38 @@
 // the failed operation (inclusive — at-least-once) is always sufficient
 // and idempotent.
 //
-// Requires -DSLABGRAPH_FAULTS=ON; in normal builds the suite SKIPs.
-// Schedules derive from SG_FAULT_SEED so CI sweeps seeds.
+// The kill-point cases require -DSLABGRAPH_FAULTS=ON and SKIP otherwise;
+// their schedules derive from SG_FAULT_SEED so CI sweeps seeds. The
+// committed-prefix case exhausts a capped arena for real and runs in every
+// build.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/core/dyn_graph.hpp"
-#include "src/util/fault_injection.hpp"
-
-#ifndef SLABGRAPH_FAULTS
-
-namespace sg::persist {
-namespace {
-TEST(PersistFaults, RequiresFaultBuild) {
-  GTEST_SKIP() << "build with -DSLABGRAPH_FAULTS=ON to run the crash harness";
-}
-}  // namespace
-}  // namespace sg::persist
-
-#else  // SLABGRAPH_FAULTS
-
-#include <cstdint>
-#include <filesystem>
-#include <functional>
-#include <memory>
-
 #include "src/core/errors.hpp"
 #include "src/persist/errors.hpp"
 #include "src/persist/journal.hpp"
 #include "src/persist/recovery.hpp"
 #include "src/persist/snapshot.hpp"
+#include "src/util/fault_injection.hpp"
 #include "src/util/prng.hpp"
 #include "tests/graph_test_util.hpp"
 
 namespace sg::persist {
 namespace {
 
-using core::DynGraph;
 using core::DynGraphMap;
-using core::Edge;
 using core::GraphConfig;
-using core::MapPolicy;
 using core::PartialBatchError;
-using core::SetPolicy;
-using core::VertexId;
 using core::WeightedEdge;
 using core::testutil::expect_identical;
-using core::testutil::random_batch;
-using util::FaultInjector;
-using util::FaultSite;
-using util::FaultSpec;
-
-std::uint64_t base_seed() {
-  if (const char* env = std::getenv("SG_FAULT_SEED")) {
-    return std::strtoull(env, nullptr, 10);
-  }
-  return 42;
-}
-
-/// RAII: no test leaves the process-wide injector armed.
-struct DisarmGuard {
-  ~DisarmGuard() { FaultInjector::instance().disarm_all(); }
-};
 
 /// Unique scratch directory per case, removed on scope exit.
 class TempDir {
@@ -95,6 +62,75 @@ class TempDir {
 
  private:
   std::string path_;
+};
+
+// Committed-prefix journaling: when the engine aborts a batch mid-way
+// (arena exhaustion), the journal records exactly the applied prefix —
+// replaying it reproduces the post-abort in-memory state, not the full
+// requested batch.
+TEST(PersistFaults, PartialBatchJournalsExactlyTheCommittedPrefix) {
+  TempDir dir;
+  GraphConfig cfg;
+  cfg.journal_path = dir.file("j");
+  cfg.pipeline_epoch_edges = 64;  // several epochs, so a prefix can commit
+  // One 1 MiB chunk: the base slabs take it, so no collision slab can be
+  // allocated and the first chain to outgrow its base slab exhausts it.
+  cfg.max_arena_chunks = 1;
+  DynGraphMap g(cfg);
+
+  // Light sources (4 edges each, one base slab apiece) fill the first
+  // epochs; then a hub chain far longer than one slab aborts the batch.
+  std::vector<WeightedEdge> batch;
+  for (std::uint32_t i = 0; i < 400; ++i) {
+    batch.push_back({10 + i / 4, 1000 + i, i + 1});
+  }
+  for (std::uint32_t i = 0; i < 1000; ++i) batch.push_back({0, 5000 + i, i + 1});
+  std::size_t unapplied = 0;
+  try {
+    g.insert_edges(batch);
+    FAIL() << "expected PartialBatchError";
+  } catch (const PartialBatchError& e) {
+    unapplied = e.unapplied().size();
+    EXPECT_EQ(e.applied() + unapplied, batch.size());
+    EXPECT_THROW(std::rethrow_exception(e.cause()), memory::ArenaExhausted);
+  }
+  ASSERT_GT(unapplied, 0u);
+  ASSERT_LT(unapplied, batch.size());  // a real prefix committed
+
+  GraphConfig plain;  // replay target without a journal of its own
+  DynGraphMap replayed(plain);
+  replay_journal(replayed, dir.file("j"));
+  expect_identical(g, replayed);
+}
+
+#ifndef SLABGRAPH_FAULTS
+
+TEST(PersistFaults, RequiresFaultBuild) {
+  GTEST_SKIP() << "build with -DSLABGRAPH_FAULTS=ON to run the crash harness";
+}
+
+#else  // SLABGRAPH_FAULTS
+
+using core::DynGraph;
+using core::Edge;
+using core::MapPolicy;
+using core::SetPolicy;
+using core::VertexId;
+using core::testutil::random_batch;
+using util::FaultInjector;
+using util::FaultSite;
+using util::FaultSpec;
+
+std::uint64_t base_seed() {
+  if (const char* env = std::getenv("SG_FAULT_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 42;
+}
+
+/// RAII: no test leaves the process-wide injector armed.
+struct DisarmGuard {
+  ~DisarmGuard() { FaultInjector::instance().disarm_all(); }
 };
 
 /// The deterministic mutation stream, as an indexed op list so a run can
@@ -308,44 +344,7 @@ TEST(PersistFaults, FailedSnapshotPreservesPreviousSnapshot) {
   EXPECT_FALSE(restored.edge_exists(5, 6));
 }
 
-// Committed-prefix journaling: when the engine aborts a batch mid-way
-// (arena exhaustion), the journal records exactly the applied prefix —
-// replaying it reproduces the post-abort in-memory state, not the full
-// requested batch.
-TEST(PersistFaults, PartialBatchJournalsExactlyTheCommittedPrefix) {
-  DisarmGuard guard;
-  auto& inj = FaultInjector::instance();
-  TempDir dir;
-  GraphConfig cfg;
-  cfg.journal_path = dir.file("j");
-  cfg.pipeline_epoch_edges = 64;  // several epochs, so a prefix can commit
-  DynGraphMap g(cfg);
-
-  // Hub-heavy batch forces dynamic slab allocation; the armed arena fault
-  // aborts it partway through.
-  std::vector<WeightedEdge> batch;
-  for (std::uint32_t i = 0; i < 3000; ++i) {
-    batch.push_back({static_cast<VertexId>(i % 4), 100 + i, i + 1});
-  }
-  inj.arm(FaultSite::kArenaAllocate, FaultSpec{/*fire_after=*/20});
-  std::size_t unapplied = 0;
-  try {
-    g.insert_edges(batch);
-    FAIL() << "expected PartialBatchError";
-  } catch (const PartialBatchError& e) {
-    unapplied = e.unapplied().size();
-  }
-  inj.disarm_all();
-  ASSERT_GT(unapplied, 0u);
-  ASSERT_LT(unapplied, batch.size());  // a real prefix committed
-
-  GraphConfig plain;  // replay target without a journal of its own
-  DynGraphMap replayed(plain);
-  replay_journal(replayed, dir.file("j"));
-  expect_identical(g, replayed);
-}
+#endif  // SLABGRAPH_FAULTS
 
 }  // namespace
 }  // namespace sg::persist
-
-#endif  // SLABGRAPH_FAULTS

@@ -11,8 +11,7 @@
 
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/simd.hpp"
-#include "src/slabhash/slab_map.hpp"
-#include "src/slabhash/slab_set.hpp"
+#include "src/slabhash/slab_hash.hpp"
 #include "src/util/prng.hpp"
 
 namespace sg {
@@ -106,7 +105,8 @@ MapTrace run_map_workload(simt::ProbeBackend backend, std::uint64_t seed) {
   // Deliberately undersized (load factor ~3) so chains and tombstone reuse
   // paths are exercised, not just single-slab buckets.
   slabhash::SlabHashMap table(
-      arena, slabhash::buckets_for(1 << 12, 3.0, slabhash::kMapPairsPerSlab));
+      arena,
+      slabhash::buckets_for(1 << 12, 3.0, slabhash::MapLayout::kSlotsPerSlab));
   std::unordered_map<std::uint32_t, std::uint32_t> reference;
   MapTrace trace;
   for (int op = 0; op < 20000; ++op) {
@@ -128,7 +128,7 @@ MapTrace run_map_workload(simt::ProbeBackend backend, std::uint64_t seed) {
       }
       default: {  // replace
         const auto value = static_cast<std::uint32_t>(rng.below(1 << 16));
-        const bool fresh = table.replace(key, value);
+        const bool fresh = table.insert(key, value);
         EXPECT_EQ(fresh, reference.find(key) == reference.end());
         reference[key] = value;
         trace.op_results.push_back(fresh);
@@ -168,7 +168,8 @@ SetTrace run_set_workload(simt::ProbeBackend backend, std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   memory::SlabArena arena;
   slabhash::SlabHashSet table(
-      arena, slabhash::buckets_for(1 << 12, 3.0, slabhash::kSetKeysPerSlab));
+      arena,
+      slabhash::buckets_for(1 << 12, 3.0, slabhash::SetLayout::kSlotsPerSlab));
   std::unordered_set<std::uint32_t> reference;
   SetTrace trace;
   for (int op = 0; op < 20000; ++op) {
@@ -194,7 +195,7 @@ SetTrace run_set_workload(simt::ProbeBackend backend, std::uint64_t seed) {
       }
     }
   }
-  table.for_each([&](std::uint32_t k) {
+  table.for_each([&](std::uint32_t k, std::uint32_t) {
     EXPECT_TRUE(trace.final_contents.insert(k).second);
   });
   EXPECT_EQ(trace.final_contents.size(), reference.size());
@@ -224,7 +225,8 @@ TEST(SimdProbeDifferential, FlushAfterWorkloadKeepsContents) {
     util::Xoshiro256 rng(13);
     memory::SlabArena arena;
     slabhash::SlabHashSet table(
-        arena, slabhash::buckets_for(1 << 10, 2.0, slabhash::kSetKeysPerSlab));
+        arena, slabhash::buckets_for(1 << 10, 2.0,
+                                     slabhash::SetLayout::kSlotsPerSlab));
     std::unordered_set<std::uint32_t> reference;
     for (int op = 0; op < 6000; ++op) {
       const auto key = static_cast<std::uint32_t>(rng.below(1 << 10));
@@ -239,7 +241,8 @@ TEST(SimdProbeDifferential, FlushAfterWorkloadKeepsContents) {
     table.flush_tombstones();
     EXPECT_EQ(table.occupancy().tombstones, 0u);
     std::set<std::uint32_t> contents;
-    table.for_each([&](std::uint32_t k) { contents.insert(k); });
+    table.for_each(
+        [&](std::uint32_t k, std::uint32_t) { contents.insert(k); });
     EXPECT_EQ(contents.size(), reference.size());
     for (const std::uint32_t k : reference) EXPECT_TRUE(contents.count(k));
   }

@@ -302,20 +302,6 @@ TEST(SlabArenaChecks, FreeingBulkSlabRaisesArenaFault) {
   EXPECT_EQ(arena.stats().bulk_slabs, 4u);
 }
 
-TEST(SlabArenaChecks, ChecksOffIgnoresMisuseInsteadOfThrowing) {
-  SlabArena arena;
-  arena.set_checks(false);
-  const SlabHandle bulk = arena.allocate_contiguous(1, 0);
-  EXPECT_NO_THROW(arena.free(bulk));
-#ifdef NDEBUG
-  // Double free of a bitmap-resident dynamic slab: ignored when checks are
-  // off (release builds only; debug builds still assert).
-  const SlabHandle h = arena.allocate(0, 0);
-  arena.free(h);
-  EXPECT_NO_THROW(arena.free(h));
-#endif
-}
-
 TEST(SlabArenaLimits, AllocateThrowsArenaExhaustedAtChunkLimit) {
   SlabArena arena;
   arena.set_chunk_limit(1);  // one 8192-slab chunk, then hard stop

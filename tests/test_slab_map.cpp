@@ -1,17 +1,20 @@
 // Unit & property tests for the SlabHash concurrent map: uniqueness under
-// replace, most-recent-weight-wins, tombstone semantics (never reused by
+// insert, most-recent-weight-wins, tombstone semantics (never reused by
 // insertion; empties only at chain tails), chain growth, iteration, the
 // value-filtered scan, occupancy accounting, compaction, and concurrent
-// stress.
+// stress. The format-generic cases (SlabFormatTest) run on the set's slab
+// format too.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
-#include "src/slabhash/slab_map.hpp"
+#include "src/slabhash/slab_hash.hpp"
 #include "src/util/prng.hpp"
 
 namespace sg::slabhash {
@@ -24,7 +27,7 @@ class SlabMapTest : public ::testing::Test {
 
 TEST_F(SlabMapTest, InsertThenFind) {
   SlabHashMap map(arena, 4);
-  EXPECT_TRUE(map.replace(10, 100));
+  EXPECT_TRUE(map.insert(10, 100));
   const auto hit = map.search(10);
   EXPECT_TRUE(hit.found);
   EXPECT_EQ(hit.value, 100u);
@@ -32,20 +35,20 @@ TEST_F(SlabMapTest, InsertThenFind) {
 
 TEST_F(SlabMapTest, MissingKeyNotFound) {
   SlabHashMap map(arena, 4);
-  map.replace(10, 100);
+  map.insert(10, 100);
   EXPECT_FALSE(map.search(11).found);
 }
 
 TEST_F(SlabMapTest, ReplaceReturnsFalseForExistingKey) {
   SlabHashMap map(arena, 4);
-  EXPECT_TRUE(map.replace(10, 100));
-  EXPECT_FALSE(map.replace(10, 200));  // "previously existed ... just replaced"
+  EXPECT_TRUE(map.insert(10, 100));
+  EXPECT_FALSE(map.insert(10, 200));  // "previously existed ... just replaced"
   EXPECT_EQ(map.search(10).value, 200u);
 }
 
 TEST_F(SlabMapTest, MostRecentValueWins) {
   SlabHashMap map(arena, 2);
-  for (std::uint32_t v = 0; v < 50; ++v) map.replace(7, v);
+  for (std::uint32_t v = 0; v < 50; ++v) map.insert(7, v);
   EXPECT_EQ(map.search(7).value, 49u);
   // Still exactly one live copy of the key.
   EXPECT_EQ(map.occupancy().live_keys, 1u);
@@ -53,7 +56,7 @@ TEST_F(SlabMapTest, MostRecentValueWins) {
 
 TEST_F(SlabMapTest, EraseReturnsPresence) {
   SlabHashMap map(arena, 4);
-  map.replace(10, 1);
+  map.insert(10, 1);
   EXPECT_TRUE(map.erase(10));
   EXPECT_FALSE(map.erase(10));  // second delete of the same key is a miss
   EXPECT_FALSE(map.search(10).found);
@@ -66,12 +69,12 @@ TEST_F(SlabMapTest, EraseOfAbsentKeyIsFalse) {
 
 TEST_F(SlabMapTest, TombstoneNotReusedByInsertion) {
   SlabHashMap map(arena, 1);  // single bucket => deterministic layout
-  map.replace(1, 10);
-  map.replace(2, 20);
+  map.insert(1, 10);
+  map.insert(2, 20);
   map.erase(1);
   // Re-inserting a *different* key must not overwrite the tombstone: the
   // tombstone stays, so occupancy shows 2 live + 1 tombstone.
-  map.replace(3, 30);
+  map.insert(3, 30);
   const TableOccupancy occ = map.occupancy();
   EXPECT_EQ(occ.live_keys, 2u);
   EXPECT_EQ(occ.tombstones, 1u);
@@ -79,50 +82,17 @@ TEST_F(SlabMapTest, TombstoneNotReusedByInsertion) {
 
 TEST_F(SlabMapTest, ReinsertAfterEraseWorks) {
   SlabHashMap map(arena, 1);
-  map.replace(5, 50);
+  map.insert(5, 50);
   map.erase(5);
-  EXPECT_TRUE(map.replace(5, 51));  // new key again (tombstone skipped)
+  EXPECT_TRUE(map.insert(5, 51));  // new key again (tombstone skipped)
   EXPECT_EQ(map.search(5).value, 51u);
-}
-
-TEST_F(SlabMapTest, EmptiesOnlyAtChainTail) {
-  // The paper's invariant: within a slab, EMPTY slots all sit after used
-  // (live or tombstoned) slots.
-  SlabHashMap map(arena, 1);
-  for (std::uint32_t k = 0; k < 40; ++k) map.replace(k, k);
-  for (std::uint32_t k = 0; k < 40; k += 3) map.erase(k);
-  for (std::uint32_t k = 100; k < 110; ++k) map.replace(k, k);
-  memory::SlabHandle h = map.table().base;
-  while (h != memory::kNullSlab) {
-    const memory::Slab& slab = arena.resolve(h);
-    bool seen_empty = false;
-    for (int pair = 0; pair < kMapPairsPerSlab; ++pair) {
-      const std::uint32_t key = slab.words[pair * 2];
-      if (key == kEmptyKey) {
-        seen_empty = true;
-      } else {
-        ASSERT_FALSE(seen_empty) << "used slot after an empty slot";
-      }
-    }
-    h = slab.words[kNextPtrWord];
-  }
-}
-
-TEST_F(SlabMapTest, ChainGrowsBeyondOneSlab) {
-  SlabHashMap map(arena, 1);
-  for (std::uint32_t k = 0; k < 100; ++k) map.replace(k, k * 2);
-  for (std::uint32_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(map.search(k).found) << k;
-    ASSERT_EQ(map.search(k).value, k * 2);
-  }
-  EXPECT_GT(map.occupancy().overflow_slabs, 0u);
 }
 
 TEST_F(SlabMapTest, ForEachVisitsExactlyLivePairs) {
   SlabHashMap map(arena, 3);
   std::map<std::uint32_t, std::uint32_t> reference;
   for (std::uint32_t k = 0; k < 60; ++k) {
-    map.replace(k, k + 1000);
+    map.insert(k, k + 1000);
     reference[k] = k + 1000;
   }
   for (std::uint32_t k = 0; k < 60; k += 4) {
@@ -139,14 +109,14 @@ TEST_F(SlabMapTest, ForEachVisitsExactlyLivePairs) {
 TEST_F(SlabMapTest, ScanBelowMatchesForEachFilteredByValue) {
   // Few buckets and many keys: overflow chains, then tombstones in them.
   SlabHashMap map(arena, 3);
-  for (std::uint32_t k = 0; k < 400; ++k) map.replace(k, (k * 37) % 1000);
+  for (std::uint32_t k = 0; k < 400; ++k) map.insert(k, (k * 37) % 1000);
   for (std::uint32_t k = 0; k < 400; k += 5) map.erase(k);
   ASSERT_GT(map.occupancy().overflow_slabs, 0u);
   ASSERT_GT(map.occupancy().tombstones, 0u);
   std::uint32_t gather_depth = 0;
   std::vector<std::uint32_t> all(400);
   const std::uint32_t live =
-      map_gather(arena, map.table(), all.data(), 400, &gather_depth);
+      MapOps::gather(arena, map.table(), all.data(), 400, &gather_depth);
   for (const std::uint32_t threshold : {0u, 1u, 370u, 999u, 1000u}) {
     std::multiset<std::uint32_t> expected;
     map.for_each([&](std::uint32_t k, std::uint32_t v) {
@@ -155,7 +125,8 @@ TEST_F(SlabMapTest, ScanBelowMatchesForEachFilteredByValue) {
     std::vector<std::uint32_t> out(live);
     std::uint32_t depth = 0;
     const std::uint32_t n =
-        map_scan_below(arena, map.table(), threshold, out.data(), live, &depth);
+        MapOps::scan_below(arena, map.table(), threshold, out.data(), live,
+                           &depth);
     EXPECT_EQ(std::multiset<std::uint32_t>(out.begin(), out.begin() + n),
               expected)
         << "threshold " << threshold;
@@ -164,24 +135,14 @@ TEST_F(SlabMapTest, ScanBelowMatchesForEachFilteredByValue) {
   // The scan stops at cap even when more keys qualify.
   std::vector<std::uint32_t> small(7, 0xDEADu);
   small.push_back(0xBEEFu);  // guard slot past cap
-  EXPECT_EQ(map_scan_below(arena, map.table(), 1000, small.data(), 7), 7u);
+  EXPECT_EQ(MapOps::scan_below(arena, map.table(), 1000, small.data(), 7),
+            7u);
   EXPECT_EQ(small[7], 0xBEEFu);
-}
-
-TEST_F(SlabMapTest, OccupancyCountsSlots) {
-  SlabHashMap map(arena, 2);
-  const TableOccupancy empty = map.occupancy();
-  EXPECT_EQ(empty.live_keys, 0u);
-  EXPECT_EQ(empty.slots, 2u * kMapPairsPerSlab);
-  EXPECT_EQ(empty.base_slabs, 2u);
-  map.replace(1, 1);
-  EXPECT_DOUBLE_EQ(map.occupancy().utilization(),
-                   1.0 / (2 * kMapPairsPerSlab));
 }
 
 TEST_F(SlabMapTest, FlushTombstonesCompactsAndFrees) {
   SlabHashMap map(arena, 1);
-  for (std::uint32_t k = 0; k < 90; ++k) map.replace(k, k);
+  for (std::uint32_t k = 0; k < 90; ++k) map.insert(k, k);
   for (std::uint32_t k = 0; k < 90; ++k) {
     if (k % 3 != 0) map.erase(k);
   }
@@ -201,24 +162,103 @@ TEST_F(SlabMapTest, FlushTombstonesCompactsAndFrees) {
 
 TEST_F(SlabMapTest, ClearFreesOverflowAndEmptiesTable) {
   SlabHashMap map(arena, 1);
-  for (std::uint32_t k = 0; k < 200; ++k) map.replace(k, k);
+  for (std::uint32_t k = 0; k < 200; ++k) map.insert(k, k);
   EXPECT_GT(arena.stats().dynamic_slabs, 0u);
-  map_clear(arena, map.table());
+  map.clear();
   EXPECT_EQ(arena.stats().dynamic_slabs, 0u);
   EXPECT_EQ(map.occupancy().live_keys, 0u);
   for (std::uint32_t k = 0; k < 200; ++k) ASSERT_FALSE(map.search(k).found);
 }
 
-TEST_F(SlabMapTest, SentinelsAreNotStorableButNearMaxKeyIs) {
-  SlabHashMap map(arena, 2);
-  EXPECT_TRUE(map.replace(kMaxKey, 1));
-  EXPECT_TRUE(map.search(kMaxKey).found);
+// ---- format-generic cases, run on both slab formats ----------------------
+
+template <class Layout>
+class SlabFormatTest : public ::testing::Test {
+ protected:
+  using Table = SlabHash<Layout>;
+  memory::SlabArena arena;
+};
+
+struct FormatName {
+  template <class Layout>
+  static std::string GetName(int) {
+    return Layout::kHasValues ? "Map" : "Set";
+  }
+};
+using Formats = ::testing::Types<MapLayout, SetLayout>;
+TYPED_TEST_SUITE(SlabFormatTest, Formats, FormatName);
+
+TYPED_TEST(SlabFormatTest, EmptiesOnlyAtChainTail) {
+  // The paper's invariant: within a slab, EMPTY slots all sit after used
+  // (live or tombstoned) slots.
+  typename TestFixture::Table table(this->arena, 1);
+  for (std::uint32_t k = 0; k < 40; ++k) table.insert(k, k);
+  for (std::uint32_t k = 0; k < 40; k += 3) table.erase(k);
+  for (std::uint32_t k = 100; k < 110; ++k) table.insert(k, k);
+  memory::SlabHandle h = table.table().base;
+  while (h != memory::kNullSlab) {
+    const memory::Slab& slab = this->arena.resolve(h);
+    bool seen_empty = false;
+    for (int slot = 0; slot < TypeParam::kSlotsPerSlab; ++slot) {
+      const std::uint32_t key = slab.words[slot * TypeParam::kKeyStride];
+      if (key == kEmptyKey) {
+        seen_empty = true;
+      } else {
+        ASSERT_FALSE(seen_empty) << "used slot after an empty slot";
+      }
+    }
+    h = slab.words[kNextPtrWord];
+  }
 }
 
-TEST_F(SlabMapTest, ZeroBucketRequestClampedToOne) {
-  SlabHashMap map(arena, 0);
-  EXPECT_TRUE(map.replace(1, 1));
-  EXPECT_EQ(map.table().num_buckets, 1u);
+TYPED_TEST(SlabFormatTest, ChainGrowsBeyondOneSlab) {
+  typename TestFixture::Table table(this->arena, 1);
+  for (std::uint32_t k = 0; k < 100; ++k) table.insert(k, k * 2);
+  for (std::uint32_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(table.contains(k)) << k;
+    if constexpr (TypeParam::kHasValues) {
+      ASSERT_EQ(table.search(k).value, k * 2);
+    }
+  }
+  EXPECT_GT(table.occupancy().overflow_slabs, 0u);
+}
+
+TYPED_TEST(SlabFormatTest, OccupancyCountsSlots) {
+  typename TestFixture::Table table(this->arena, 2);
+  const TableOccupancy empty = table.occupancy();
+  EXPECT_EQ(empty.live_keys, 0u);
+  EXPECT_EQ(empty.slots, 2u * TypeParam::kSlotsPerSlab);
+  EXPECT_EQ(empty.base_slabs, 2u);
+  table.insert(1, 1);
+  EXPECT_DOUBLE_EQ(table.occupancy().utilization(),
+                   1.0 / (2 * TypeParam::kSlotsPerSlab));
+}
+
+TYPED_TEST(SlabFormatTest, SentinelsAreNotStorableButNearMaxKeyIs) {
+  typename TestFixture::Table table(this->arena, 2);
+  EXPECT_TRUE(table.insert(kMaxKey, 1));
+  EXPECT_TRUE(table.contains(kMaxKey));
+}
+
+TYPED_TEST(SlabFormatTest, ZeroBucketRequestClampedToOne) {
+  typename TestFixture::Table table(this->arena, 0);
+  EXPECT_TRUE(table.insert(1, 1));
+  EXPECT_EQ(table.table().num_buckets, 1u);
+}
+
+TYPED_TEST(SlabFormatTest, RacingDeletesCountEachKeyOnce) {
+  typename TestFixture::Table table(this->arena, 4);
+  constexpr std::uint32_t kKeys = 500;
+  for (std::uint32_t k = 0; k < kKeys; ++k) table.insert(k, k);
+  std::atomic<std::uint32_t> removals{0};
+  simt::ThreadPool pool(8);
+  pool.parallel_for(16, [&](std::uint64_t) {
+    for (std::uint32_t k = 0; k < kKeys; ++k) {
+      if (table.erase(k)) removals.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(removals.load(), kKeys);  // the CAS makes deletion exactly-once
+  EXPECT_EQ(table.occupancy().live_keys, 0u);
 }
 
 TEST(SlabMapHash, BucketOfIsStableAndInRange) {
@@ -262,7 +302,7 @@ TEST_P(SlabMapSweep, InsertSearchDeleteRoundTrip) {
   memory::SlabArena arena;
   SlabHashMap map(arena, buckets);
   for (std::uint32_t k = 0; k < keys; ++k) {
-    ASSERT_TRUE(map.replace(k * 7 + 1, k));
+    ASSERT_TRUE(map.insert(k * 7 + 1, k));
   }
   EXPECT_EQ(map.occupancy().live_keys, keys);
   for (std::uint32_t k = 0; k < keys; ++k) {
@@ -290,7 +330,7 @@ TEST_P(SlabMapSweep, RandomizedAgainstStdMap) {
     switch (rng.below(3)) {
       case 0:
       case 1: {
-        const bool fresh = map.replace(key, value);
+        const bool fresh = map.insert(key, value);
         EXPECT_EQ(fresh, reference.find(key) == reference.end());
         reference[key] = value;
         break;
@@ -328,7 +368,7 @@ TEST(SlabMapConcurrent, ParallelDistinctInsertsAllLand) {
   simt::ThreadPool pool(8);
   constexpr std::uint32_t kKeys = 4000;
   pool.parallel_for(kKeys, [&](std::uint64_t k) {
-    map.replace(static_cast<std::uint32_t>(k),
+    map.insert(static_cast<std::uint32_t>(k),
                 static_cast<std::uint32_t>(k) + 7);
   });
   EXPECT_EQ(map.occupancy().live_keys, kKeys);
@@ -348,7 +388,7 @@ TEST(SlabMapConcurrent, RacingDuplicateInsertsKeepUniqueness) {
   std::atomic<std::uint32_t> fresh_claims{0};
   pool.parallel_for(16, [&](std::uint64_t) {
     for (std::uint32_t k = 0; k < kKeys; ++k) {
-      if (map.replace(k, k)) fresh_claims.fetch_add(1);
+      if (map.insert(k, k)) fresh_claims.fetch_add(1);
     }
   });
   // Exactly one task won the "new key" return per key.
@@ -377,7 +417,7 @@ TEST(SlabMapConcurrent, SearchNeverObservesKeyWithoutValue) {
       for (;;) {
         const std::uint32_t k = next.fetch_add(1);
         if (k >= kKeys) return;
-        map.replace(k, k ^ 0xA5A5A5A5u);
+        map.insert(k, k ^ 0xA5A5A5A5u);
       }
     }
     util::Xoshiro256 rng(task);
@@ -389,22 +429,6 @@ TEST(SlabMapConcurrent, SearchNeverObservesKeyWithoutValue) {
   });
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(map.occupancy().live_keys, kKeys);
-}
-
-TEST(SlabMapConcurrent, RacingDeletesCountEachKeyOnce) {
-  memory::SlabArena arena;
-  SlabHashMap map(arena, 4);
-  constexpr std::uint32_t kKeys = 500;
-  for (std::uint32_t k = 0; k < kKeys; ++k) map.replace(k, k);
-  std::atomic<std::uint32_t> removals{0};
-  simt::ThreadPool pool(8);
-  pool.parallel_for(16, [&](std::uint64_t) {
-    for (std::uint32_t k = 0; k < kKeys; ++k) {
-      if (map.erase(k)) removals.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(removals.load(), kKeys);  // the CAS makes deletion exactly-once
-  EXPECT_EQ(map.occupancy().live_keys, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Unit & property tests for the SlabHash concurrent set (the paper's new
-// keys-only variant, Bc = 30).
+// keys-only variant, Bc = 30). The cases both slab formats share run as
+// SlabFormatTest in test_slab_map.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
-#include "src/slabhash/slab_set.hpp"
+#include "src/slabhash/slab_hash.hpp"
 #include "src/util/prng.hpp"
 
 namespace sg::slabhash {
@@ -90,7 +91,7 @@ TEST_F(SlabSetTest, ForEachVisitsLiveKeysOnce) {
     reference.erase(k * 3);
   }
   std::set<std::uint32_t> seen;
-  set.for_each([&](std::uint32_t k) {
+  set.for_each([&](std::uint32_t k, std::uint32_t) {
     ASSERT_TRUE(seen.insert(k).second);
   });
   EXPECT_EQ(seen, reference);
@@ -115,7 +116,7 @@ TEST_F(SlabSetTest, ClearReleasesDynamicSlabs) {
   SlabHashSet set(arena, 1);
   for (std::uint32_t k = 0; k < 300; ++k) set.insert(k);
   EXPECT_GT(arena.stats().dynamic_slabs, 0u);
-  set_clear(arena, set.table());
+  set.clear();
   EXPECT_EQ(arena.stats().dynamic_slabs, 0u);
   EXPECT_EQ(set.occupancy().live_keys, 0u);
 }
