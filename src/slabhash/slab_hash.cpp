@@ -65,9 +65,10 @@ struct PairClaim {
 /// `pair_words` with ONE 64-bit CAS, so no reader can ever observe a claimed
 /// key without its value — this closes the read-your-write window between
 /// a key CAS and a follow-up value store. The expected state is
-/// (EMPTY, EMPTY): insertion only claims EMPTY slots, and a slot's value
-/// word is EMPTY whenever its key word is (allocation fills both,
-/// clear/flush reset both, and this CAS writes both).
+/// (EMPTY, EMPTY): this CAS only claims EMPTY slots (a tombstone is reused
+/// by fill_tombstone instead), and a slot's value word is EMPTY whenever
+/// its key word is (allocation fills both, clear/flush reset both, and this
+/// CAS writes both).
 inline PairClaim claim_pair(std::uint32_t* pair_words, std::uint32_t key,
                             std::uint32_t value) noexcept {
   // The pair is 8-byte aligned (slabs are 128-byte aligned, key words are
@@ -115,6 +116,18 @@ inline Claim claim_slot(Slab& slab, int w, std::uint32_t key,
   }
 }
 
+/// Reuses the tombstoned slot whose key word is `key_word` for an absent
+/// key. Only the bulk paths call this: their run owns its bucket for the
+/// phase, and no query phase overlaps it, so no peer claims the slot or
+/// reads it mid-write and plain stores suffice. The map writes the value
+/// word first, so the key never appears with the erased key's stale value.
+template <class Layout>
+inline void fill_tombstone(std::uint32_t* key_word, std::uint32_t key,
+                           [[maybe_unused]] std::uint32_t value) noexcept {
+  if constexpr (Layout::kHasValues) atomic_store(key_word[1], value);
+  atomic_store(key_word[0], key);
+}
+
 /// A present key's new value ("most recent edge and its weight will be
 /// stored"); the set has nothing to overwrite.
 template <class Layout>
@@ -145,7 +158,9 @@ inline std::uint32_t live_key_words(const std::uint32_t* snap) noexcept {
 /// reads a snapshot, not the shared words: the compiler may read a word once
 /// per mask, and a peer claiming this key between the two reads leaves its
 /// slot in neither the match nor the EMPTY mask, so both callers would
-/// claim a slot of their own.
+/// claim a slot of their own. The shared path keeps the paper's tail-only
+/// claim; the owned path reuses the first tombstone it passed once the
+/// chain's end proves the key absent.
 template <class Layout, bool kSharedBucket>
 bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
                       std::uint32_t bucket, std::uint32_t key,
@@ -157,6 +172,7 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
   // a per-slab store through chain_slabs could alias slab words and force
   // the compiler to reload them mid-probe.
   std::uint32_t depth = 0;
+  [[maybe_unused]] std::uint32_t* reuse = nullptr;  // first tombstone passed
   for (;;) {
     ++depth;
     Slab& slab = arena.resolve(handle);
@@ -175,9 +191,22 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
       if (chain_slabs != nullptr) *chain_slabs = depth;
       return false;
     }
-    // Claim the first EMPTY key slot; on a lost race fall through to the
-    // next candidate (tombstones are never reused by insertion).
     std::uint32_t empties = probe.empty & Layout::kKeyWordsMask;
+    if constexpr (!kSharedBucket) {
+      const std::uint32_t tombs = probe.tombstone & Layout::kKeyWordsMask;
+      if (reuse == nullptr && tombs != 0) {
+        reuse = &slab.words[std::countr_zero(tombs)];
+      }
+      if (reuse != nullptr &&
+          (empties != 0 ||
+           atomic_load(slab.words[kNextPtrWord]) == kNullSlab)) {
+        fill_tombstone<Layout>(reuse, key, value);
+        if (chain_slabs != nullptr) *chain_slabs = depth;
+        return true;
+      }
+    }
+    // Claim the first EMPTY key slot; on a lost race fall through to the
+    // next candidate.
     while (empties != 0) {
       const Claim claim =
           claim_slot<Layout>(slab, std::countr_zero(empties), key, value);
@@ -299,8 +328,11 @@ MapFindResult SlabOps<Layout>::search(const memory::SlabArena& arena,
 // ---------------------------------------------------------------------------
 // Staged bulk entry points. One wave of <= 32 keys (a warp's worth) walks
 // the bucket chain once: per slab, one vector compare per still-pending key
-// against cache-hot words, ONE EMPTY-mask scan shared by every claim, and
-// the successor slab prefetched while the compares resolve.
+// against cache-hot words, ONE EMPTY/TOMBSTONE-mask scan shared by every
+// claim, and the successor slab prefetched while the compares resolve.
+// Unlike the paper ("tombstones are disregarded in edge insertion"), a bulk
+// insert reuses tombstoned slots: its run owns the bucket for the phase, so
+// the race that forbids reuse on the GPU cannot happen (docs/ARCHITECTURE.md).
 // ---------------------------------------------------------------------------
 
 template <class Layout>
@@ -333,6 +365,10 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
     std::uint32_t pending = simt::lanemask_below(static_cast<int>(wave));
     SlabHandle handle = table.bucket_head(bucket);
     std::uint32_t depth = 0;
+    // Key words of the tombstones passed so far, in chain order. A wave of
+    // <= 32 keys never fills more than 32 of them.
+    std::uint32_t* tombs[simt::kWarpSize];
+    std::uint32_t num_tombs = 0;
     while (pending != 0) {
       ++depth;
       Slab& slab = arena.resolve(handle);
@@ -340,11 +376,12 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
       // while this slab's compares and claims resolve.
       SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
-      // The first lane's probe yields the slab's EMPTY mask for free (one
-      // pass computes all three masks); later lanes only need the match.
-      // The run owns this bucket for the phase, so that one EMPTY scan
-      // serves every claim below: claimed slots vanish from the local mask.
+      // The first lane's probe yields the slab's EMPTY and TOMBSTONE masks
+      // for free (one pass computes all three masks); later lanes only need
+      // the match. The run owns this bucket for the phase, so that one scan
+      // serves every claim below: claimed slots vanish from the local masks.
       std::uint32_t empties = 0;
+      std::uint32_t tombstones = 0;
       bool probed = false;
       for (std::uint32_t m = pending; m != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);
@@ -354,6 +391,7 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
               slab.words, keys[base + lane], kEmptyKey, kTombstoneKey);
           match = probe.match & Layout::kKeyWordsMask;
           empties = probe.empty & Layout::kKeyWordsMask;
+          tombstones = probe.tombstone & Layout::kKeyWordsMask;
           probed = true;
         } else {
           match = simt::match_mask(slab.words, keys[base + lane]) &
@@ -365,6 +403,29 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
           pending &= ~(1u << lane);
         }
       }
+      if (pending == 0) break;
+      for (; tombstones != 0 && num_tombs < simt::kWarpSize;
+           tombstones &= tombstones - 1) {
+        tombs[num_tombs++] = &slab.words[std::countr_zero(tombstones)];
+      }
+      // Only the chain's end (a slab with EMPTY slots, or the last slab)
+      // proves every pending key absent; before it a key may still sit in
+      // a later slab, so nothing is claimed yet.
+      if (empties == 0 && next != kNullSlab) {
+        handle = next;
+        continue;
+      }
+      // Claim order: the remembered tombstones, then the tail EMPTY slots,
+      // then a new slab.
+      std::uint32_t t = 0;
+      for (std::uint32_t m = pending; m != 0 && t < num_tombs; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        fill_tombstone<Layout>(tombs[t++], keys[base + lane],
+                               value_at(base + lane));
+        ++added;
+        pending &= ~(1u << lane);
+      }
+      num_tombs = 0;  // all used, or the wave is done
       for (std::uint32_t m = pending; m != 0 && empties != 0; m &= m - 1) {
         const int lane = std::countr_zero(m);
         while (empties != 0) {

@@ -15,7 +15,8 @@
 //   * insert   — inserts key uniquely; if present, the map overwrites the
 //                value ("most recent edge and its weight will be stored")
 //                and returns false; if absent, claims the first EMPTY slot
-//                (never a tombstone) and returns true. The boolean return
+//                (the scalar insert never reuses a tombstone; bulk_insert
+//                does, see below) and returns true. The boolean return
 //                feeds the per-vertex edge counters (Alg. 1 lines 8-10).
 //   * erase    — tombstones the key (CAS key -> TOMBSTONE); returns whether
 //                the key was present, feeding the counter decrement.
@@ -76,15 +77,17 @@ struct SlabOps {
   // (table, bucket) chain is owned exclusively by that warp for the phase —
   // the engine's run partition guarantees no other warp mutates the same
   // bucket — which is what lets these walk the chain ONCE per wave of up to
-  // 32 keys, compute the slab's EMPTY mask once per slab, and claim
-  // successive slots from it, instead of one full hash + chain walk per
-  // key. Concurrent mutation of OTHER buckets (and of other tables) remains
-  // safe: slot claiming still goes through CAS.
+  // 32 keys, compute the slab's EMPTY and TOMBSTONE masks once per slab,
+  // and claim successive slots from them, instead of one full hash + chain
+  // walk per key. Concurrent mutation of OTHER buckets (and of other
+  // tables) remains safe: no slot is shared between buckets.
 
   /// Bulk insert of a run (unique, sorted keys; the set ignores `values`);
-  /// a key already present has its value overwritten. Returns the number
-  /// of NEW keys. When `chain_slabs` is non-null it receives the deepest
-  /// slab position the walk reached (1 = base slab only), including slabs
+  /// a key already present has its value overwritten. New keys fill the
+  /// tombstones the walk passed, in chain order, before the tail EMPTY
+  /// slots, and only then grow the chain. Returns the number of NEW keys.
+  /// When `chain_slabs` is non-null it receives the deepest slab position
+  /// the walk reached (1 = base slab only), including slabs
   /// appended by this call — the §III chain-length metric the batch engine
   /// feeds back to targeted rehashing, observed for free.
   /// Arena exhaustion: with `status` non-null the call stops, records the

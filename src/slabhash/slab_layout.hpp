@@ -12,9 +12,12 @@
 //                     word 31 is the next-slab handle. Bc = 30.
 //
 // kEmptyKey marks a never-used slot; kTombstoneKey marks a deleted slot.
-// Insertions skip tombstones ("tombstones are disregarded in edge
-// insertion"), so within a slab all EMPTY slots sit after all used slots —
-// the invariant the paper relies on for fast searches.
+// A deleted slot never turns back into EMPTY, and insertions claim EMPTY
+// slots in order, so within a slab all EMPTY slots sit after all used slots
+// — the invariant the paper relies on for fast searches. The scalar insert
+// skips tombstones, as the paper does ("tombstones are disregarded in edge
+// insertion"); a bulk insert, which owns its bucket for the phase, refills
+// them once its walk reaches the chain's end (slab_hash.cpp).
 #pragma once
 
 #include <bit>

@@ -1,6 +1,7 @@
 // Shared helpers of the DynGraph differential suites: the one reference
 // model every engine path is checked against (ReferenceGraph), the common
-// random batch generator, and the graph-equality predicates. Workload
+// random batch generator, the graph-equality predicates, and a scratch
+// directory for the durability cases. Workload
 // shapes that differ per suite (skew profiles, hub batches, query mixes)
 // stay in their own files on purpose — merging them would change test
 // inputs.
@@ -10,9 +11,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <tuple>
 #include <vector>
 
@@ -50,6 +56,19 @@ class ReferenceGraph {
       if (undirected_) removed += erase_one(e.dst, e.src);
     }
     return removed;
+  }
+
+  /// Ages the model as delete_edges_older_than must age the graph: every
+  /// stored edge with weight < threshold goes, mirrors included. Returns
+  /// the directed edges removed.
+  std::uint64_t age_out(Weight threshold) {
+    std::vector<Edge> expired;
+    for (const auto& [u, nbrs] : adj_) {
+      for (const auto& [v, w] : nbrs) {
+        if (w < threshold) expired.push_back({u, v});
+      }
+    }
+    return erase(expired);
   }
 
   /// Removes the vertices and every edge pointing at them (Algorithm 2).
@@ -169,5 +188,29 @@ void expect_matches_model(const DynGraph<Policy>& g, const ReferenceGraph& m) {
   }
   EXPECT_EQ(graph_edges(g), m.edges(Policy::kHasValues));
 }
+
+/// Unique scratch directory per test, removed on scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    std::string tmpl =
+        (std::filesystem::temp_directory_path() / "sg_test_XXXXXX").string();
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed");
+    }
+    path_ = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string file(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
+};
 
 }  // namespace sg::core::testutil

@@ -40,31 +40,10 @@ using core::VertexId;
 using core::Weight;
 using core::WeightedEdge;
 using core::testutil::expect_identical;
+using core::testutil::TempDir;
 using core::testutil::expect_matches_model;
 using core::testutil::random_batch;
 using core::testutil::ReferenceGraph;
-
-/// Unique scratch directory per test, removed on scope exit.
-class TempDir {
- public:
-  TempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "sg_persist_XXXXXX")
-            .string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const { return path_ + "/" + name; }
-
- private:
-  std::string path_;
-};
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

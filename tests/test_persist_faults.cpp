@@ -42,27 +42,7 @@ using core::GraphConfig;
 using core::PartialBatchError;
 using core::WeightedEdge;
 using core::testutil::expect_identical;
-
-/// Unique scratch directory per case, removed on scope exit.
-class TempDir {
- public:
-  TempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "sg_pfault_XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path_ = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  std::string file(const std::string& name) const { return path_ + "/" + name; }
-
- private:
-  std::string path_;
-};
+using core::testutil::TempDir;
 
 // Committed-prefix journaling: when the engine aborts a batch mid-way
 // (arena exhaustion), the journal records exactly the applied prefix —

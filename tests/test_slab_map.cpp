@@ -1,12 +1,14 @@
 // Unit & property tests for the SlabHash concurrent map: uniqueness under
-// insert, most-recent-weight-wins, tombstone semantics (never reused by
-// insertion; empties only at chain tails), chain growth, iteration, the
-// value-filtered scan, occupancy accounting, compaction, and concurrent
-// stress. The format-generic cases (SlabFormatTest) run on the set's slab
-// format too.
+// insert, most-recent-weight-wins, tombstone semantics (skipped by the
+// scalar insert, refilled by bulk runs; empties only at chain tails), chain
+// growth, iteration, the value-filtered scan, occupancy accounting,
+// compaction, and concurrent stress. The format-generic cases
+// (SlabFormatTest) run on the set's slab format too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -72,8 +74,9 @@ TEST_F(SlabMapTest, TombstoneNotReusedByInsertion) {
   map.insert(1, 10);
   map.insert(2, 20);
   map.erase(1);
-  // Re-inserting a *different* key must not overwrite the tombstone: the
-  // tombstone stays, so occupancy shows 2 live + 1 tombstone.
+  // On the scalar path, re-inserting a *different* key must not overwrite
+  // the tombstone: the tombstone stays, so occupancy shows 2 live + 1
+  // tombstone. (Bulk runs do refill it: SlabFormatTest below.)
   map.insert(3, 30);
   const TableOccupancy occ = map.occupancy();
   EXPECT_EQ(occ.live_keys, 2u);
@@ -84,7 +87,7 @@ TEST_F(SlabMapTest, ReinsertAfterEraseWorks) {
   SlabHashMap map(arena, 1);
   map.insert(5, 50);
   map.erase(5);
-  EXPECT_TRUE(map.insert(5, 51));  // new key again (tombstone skipped)
+  EXPECT_TRUE(map.insert(5, 51));  // new again (scalar: tombstone skipped)
   EXPECT_EQ(map.search(5).value, 51u);
 }
 
@@ -176,6 +179,56 @@ template <class Layout>
 class SlabFormatTest : public ::testing::Test {
  protected:
   using Table = SlabHash<Layout>;
+  using Ops = SlabOps<Layout>;
+  static constexpr std::uint32_t kSlots = Layout::kSlotsPerSlab;
+
+  /// Hands `keys` to bucket 0 of a one-bucket table as one staged run, the
+  /// way the batch engine does: sorted, unique, value = key + 1. A one-key
+  /// run takes the singleton path.
+  static std::uint32_t bulk_insert(memory::SlabArena& arena,
+                                   const Table& table,
+                                   std::vector<std::uint32_t> keys,
+                                   BulkStatus* status = nullptr) {
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::uint32_t> values;
+    for (const std::uint32_t k : keys) values.push_back(k + 1);
+    return Ops::bulk_insert(arena, table.table(), 0, keys.data(),
+                            values.data(),
+                            static_cast<std::uint32_t>(keys.size()), 0,
+                            nullptr, status);
+  }
+  std::uint32_t bulk_insert(const Table& table,
+                            std::vector<std::uint32_t> keys) {
+    return bulk_insert(arena, table, std::move(keys));
+  }
+
+  /// Every live key, once per stored copy.
+  static std::multiset<std::uint32_t> keys_of(const Table& table) {
+    std::multiset<std::uint32_t> keys;
+    table.for_each([&](std::uint32_t k, std::uint32_t) { keys.insert(k); });
+    return keys;
+  }
+
+  /// The paper's invariant: walking the chain slab by slab, no used (live
+  /// or tombstoned) slot follows an EMPTY one — within a slab, and across
+  /// slabs, which is what lets a probe stop at the first EMPTY slot.
+  void expect_empties_at_tail(const Table& table) const {
+    bool seen_empty = false;
+    memory::SlabHandle h = table.table().base;
+    while (h != memory::kNullSlab) {
+      const memory::Slab& slab = arena.resolve(h);
+      for (int slot = 0; slot < Layout::kSlotsPerSlab; ++slot) {
+        const std::uint32_t key = slab.words[slot * Layout::kKeyStride];
+        if (key == kEmptyKey) {
+          seen_empty = true;
+        } else {
+          ASSERT_FALSE(seen_empty) << "used slot after an empty slot";
+        }
+      }
+      h = slab.words[kNextPtrWord];
+    }
+  }
+
   memory::SlabArena arena;
 };
 
@@ -195,20 +248,145 @@ TYPED_TEST(SlabFormatTest, EmptiesOnlyAtChainTail) {
   for (std::uint32_t k = 0; k < 40; ++k) table.insert(k, k);
   for (std::uint32_t k = 0; k < 40; k += 3) table.erase(k);
   for (std::uint32_t k = 100; k < 110; ++k) table.insert(k, k);
-  memory::SlabHandle h = table.table().base;
-  while (h != memory::kNullSlab) {
-    const memory::Slab& slab = this->arena.resolve(h);
-    bool seen_empty = false;
-    for (int slot = 0; slot < TypeParam::kSlotsPerSlab; ++slot) {
-      const std::uint32_t key = slab.words[slot * TypeParam::kKeyStride];
-      if (key == kEmptyKey) {
-        seen_empty = true;
-      } else {
-        ASSERT_FALSE(seen_empty) << "used slot after an empty slot";
+  this->expect_empties_at_tail(table);
+  // Bulk runs refill the tombstones first, then the tail: still no used
+  // slot after an EMPTY one.
+  for (std::uint32_t k = 200; k < 205; ++k) {
+    this->bulk_insert(table, {k});  // singleton runs
+  }
+  this->expect_empties_at_tail(table);
+  std::vector<std::uint32_t> run;
+  for (std::uint32_t k = 300; k < 340; ++k) run.push_back(k);
+  this->bulk_insert(table, run);  // two waves
+  this->expect_empties_at_tail(table);
+  EXPECT_EQ(table.occupancy().tombstones, 0u);
+}
+
+TYPED_TEST(SlabFormatTest, BulkInsertRefillsTombstonesOfFullChain) {
+  constexpr std::uint32_t kFull = 2 * TestFixture::kSlots;  // base + 1 slab
+  // k = 1 is a singleton run; k = kFull tombstones the whole chain (the
+  // set's 60 keys arrive as two waves, the first capped at 32 tombstones).
+  for (const std::uint32_t k : {1u, 7u, kFull}) {
+    typename TestFixture::Table table(this->arena, 1);
+    std::set<std::uint32_t> expected;
+    for (std::uint32_t key = 0; key < kFull; ++key) {
+      table.insert(key, key);
+      expected.insert(key);
+    }
+    ASSERT_EQ(table.occupancy().overflow_slabs, 1u);
+    // Erase k keys spread over both slabs, then bulk-insert k new keys.
+    std::vector<std::uint32_t> fresh;
+    for (std::uint32_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(table.erase(i * kFull / k));
+      expected.erase(i * kFull / k);
+      fresh.push_back(1000 + i);
+      expected.insert(1000 + i);
+    }
+    EXPECT_EQ(this->bulk_insert(table, fresh), k) << "k = " << k;
+    const TableOccupancy occ = table.occupancy();
+    EXPECT_EQ(occ.overflow_slabs, 1u) << "k = " << k;
+    EXPECT_EQ(occ.tombstones, 0u) << "k = " << k;
+    EXPECT_EQ(occ.live_keys, kFull) << "k = " << k;
+    EXPECT_EQ(this->keys_of(table),
+              std::multiset<std::uint32_t>(expected.begin(), expected.end()));
+    if constexpr (TypeParam::kHasValues) {
+      for (const std::uint32_t key : fresh) {
+        EXPECT_EQ(table.search(key).value, key + 1);
       }
     }
-    h = slab.words[kNextPtrWord];
+    this->expect_empties_at_tail(table);
   }
+}
+
+TYPED_TEST(SlabFormatTest, BulkInsertFillsTombstonesThenTailThenGrows) {
+  constexpr std::uint32_t kSlots = TestFixture::kSlots;
+  typename TestFixture::Table table(this->arena, 1);
+  // A full base slab and a half-full overflow slab; four tombstones in the
+  // base slab.
+  for (std::uint32_t key = 0; key < kSlots + kSlots / 2; ++key) {
+    table.insert(key, key);
+  }
+  for (std::uint32_t key = 0; key < 4; ++key) ASSERT_TRUE(table.erase(key));
+  // One run: four keys fill the tombstones, the tail slots take the next
+  // ones, and three more need a new slab.
+  const std::uint32_t tail = kSlots - kSlots / 2;
+  std::vector<std::uint32_t> fresh;
+  for (std::uint32_t i = 0; i < 4 + tail + 3; ++i) fresh.push_back(1000 + i);
+  EXPECT_EQ(this->bulk_insert(table, fresh), fresh.size());
+  const TableOccupancy occ = table.occupancy();
+  EXPECT_EQ(occ.tombstones, 0u);
+  EXPECT_EQ(occ.overflow_slabs, 2u);
+  EXPECT_EQ(occ.live_keys, 2 * kSlots + 3);
+  this->expect_empties_at_tail(table);
+  for (const std::uint32_t key : fresh) EXPECT_TRUE(table.contains(key));
+  // The base slab holds no tombstone and no EMPTY slot any more.
+  const memory::Slab& base = this->arena.resolve(table.table().base);
+  for (int slot = 0; slot < TypeParam::kSlotsPerSlab; ++slot) {
+    EXPECT_LE(base.words[slot * TypeParam::kKeyStride], kMaxKey) << slot;
+  }
+}
+
+TYPED_TEST(SlabFormatTest, BulkInsertOverwritesKeyBehindTombstone) {
+  // The trap of claiming too early: the key lives in the second slab while
+  // the first slab holds a tombstone. Claiming the tombstone before the
+  // walk reaches the chain's end would store the key twice.
+  constexpr std::uint32_t kFull = 2 * TestFixture::kSlots;
+  constexpr std::uint32_t kDeep = kFull - 1;  // last slot of slab 2
+  typename TestFixture::Table table(this->arena, 1);
+  for (std::uint32_t key = 0; key < kFull; ++key) table.insert(key, key);
+  ASSERT_TRUE(table.erase(0));  // tombstone in slab 1
+  const auto copies = [&](std::uint32_t key) {
+    return this->keys_of(table).count(key);
+  };
+
+  EXPECT_EQ(this->bulk_insert(table, {kDeep}), 0u);  // singleton run
+  EXPECT_EQ(copies(kDeep), 1u);
+  EXPECT_EQ(table.occupancy().tombstones, 1u);
+  if constexpr (TypeParam::kHasValues) {
+    EXPECT_EQ(table.search(kDeep).value, kDeep + 1);
+  }
+
+  EXPECT_EQ(this->bulk_insert(table, {kDeep, 5000}), 1u);  // bulk run
+  EXPECT_EQ(copies(kDeep), 1u);
+  EXPECT_EQ(copies(5000), 1u);
+  EXPECT_EQ(table.occupancy().tombstones, 0u);  // 5000 took the tombstone
+  EXPECT_EQ(table.occupancy().overflow_slabs, 1u);
+  this->expect_empties_at_tail(table);
+}
+
+TYPED_TEST(SlabFormatTest, ExhaustedArenaStillFillsTombstones) {
+  constexpr std::uint32_t kSlots = TestFixture::kSlots;
+  memory::SlabArena arena;
+  arena.set_chunk_limit(1);  // the base slab's chunk: no collision slab
+  typename TestFixture::Table table(arena, 1);
+  for (std::uint32_t key = 0; key < kSlots; ++key) table.insert(key, key);
+  for (std::uint32_t key = 0; key < 3; ++key) ASSERT_TRUE(table.erase(key));
+
+  // Five new keys, three tombstones: three land, two are reported.
+  const std::vector<std::uint32_t> run = {100, 101, 102, 103, 104};
+  BulkStatus status;
+  EXPECT_EQ(TestFixture::bulk_insert(arena, table, run, &status), 3u);
+  EXPECT_FALSE(status.ok);
+  EXPECT_EQ(status.fail_base, 0u);
+  EXPECT_EQ(std::popcount(status.fail_pending), 2);
+  for (std::uint32_t lane = 0; lane < run.size(); ++lane) {
+    const bool unapplied = ((status.fail_pending >> lane) & 1u) != 0;
+    EXPECT_EQ(table.contains(run[lane]), !unapplied) << "lane " << lane;
+  }
+  EXPECT_EQ(table.occupancy().tombstones, 0u);
+  EXPECT_EQ(table.occupancy().live_keys, kSlots);
+
+  // Singleton runs: no slot left, then one erase frees a tombstone for it.
+  BulkStatus full;
+  EXPECT_EQ(TestFixture::bulk_insert(arena, table, {200}, &full), 0u);
+  EXPECT_FALSE(full.ok);
+  EXPECT_EQ(full.fail_pending, 1u);
+  ASSERT_TRUE(table.erase(10));
+  BulkStatus reuse;
+  EXPECT_EQ(TestFixture::bulk_insert(arena, table, {200}, &reuse), 1u);
+  EXPECT_TRUE(reuse.ok);
+  EXPECT_TRUE(table.contains(200));
+  EXPECT_EQ(table.occupancy().overflow_slabs, 0u);
 }
 
 TYPED_TEST(SlabFormatTest, ChainGrowsBeyondOneSlab) {

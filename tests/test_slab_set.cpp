@@ -57,7 +57,7 @@ TEST_F(SlabSetTest, TombstoneNotReused) {
   set.insert(1);
   set.insert(2);
   set.erase(1);
-  set.insert(3);
+  set.insert(3);  // scalar path: skips the tombstone (bulk runs refill it)
   const TableOccupancy occ = set.occupancy();
   EXPECT_EQ(occ.live_keys, 2u);
   EXPECT_EQ(occ.tombstones, 1u);

@@ -236,20 +236,6 @@ TEST(AgeOut, ZeroThresholdReturnsZeroWithoutScanning) {
 // delete_edges_older_than against the reference model filtered by weight
 // ---------------------------------------------------------------------------
 
-/// Ages the model as delete_edges_older_than must age the graph: every
-/// stored edge with weight < threshold goes, mirrors included. Returns the
-/// directed edges removed.
-std::uint64_t age_model(core::testutil::ReferenceGraph& model,
-                        core::Weight threshold) {
-  std::vector<core::Edge> expired;
-  for (const auto& [u, nbrs] : model.adjacency()) {
-    for (const auto& [v, w] : nbrs) {
-      if (w < threshold) expired.push_back({u, v});
-    }
-  }
-  return model.erase(expired);
-}
-
 TEST(AgeOutModel, HubWithTombstonedMultiSlabChains) {
   core::GraphConfig cfg = map_config(64);
   cfg.auto_rehash_p99_slabs = 0;  // keep the overflow chains in place
@@ -281,7 +267,7 @@ TEST(AgeOutModel, HubWithTombstonedMultiSlabChains) {
   ASSERT_GT(g.memory_stats().tombstones, 0u);
   for (const core::Weight threshold : {100u, 400u, 400u, 900u}) {
     EXPECT_EQ(g.delete_edges_older_than(threshold),
-              age_model(model, threshold));
+              model.age_out(threshold));
     core::testutil::expect_matches_model(g, model);
   }
 }
@@ -315,7 +301,7 @@ TEST(AgeOutModel, AfterDeleteVertices) {
   g.delete_vertices(gone);
   model.delete_vertices(gone);
   EXPECT_EQ(g.delete_edges_older_than(1u << 15),
-            age_model(model, 1u << 15));
+            model.age_out(1u << 15));
   core::testutil::expect_matches_model(g, model);
 }
 
@@ -326,7 +312,7 @@ TEST(AgeOutModel, UndirectedMirrorsAgeTogether) {
   EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
   for (const core::Weight threshold : {1u << 13, 1u << 15}) {
     EXPECT_EQ(g.delete_edges_older_than(threshold),
-              age_model(model, threshold));
+              model.age_out(threshold));
     core::testutil::expect_matches_model(g, model);
   }
 }
@@ -339,7 +325,7 @@ TEST(AgeOutModel, ThresholdAtStoredTimestampSurvives) {
   // Use the stored timestamp of a live edge as the threshold.
   const auto& [u, nbrs] = *model.adjacency().begin();
   const auto [v, threshold] = *nbrs.begin();
-  EXPECT_EQ(g.delete_edges_older_than(threshold), age_model(model, threshold));
+  EXPECT_EQ(g.delete_edges_older_than(threshold), model.age_out(threshold));
   EXPECT_TRUE(g.edge_exists(u, v));
   EXPECT_EQ(g.edge_weight(u, v).value, threshold);
   core::testutil::expect_matches_model(g, model);
