@@ -1,7 +1,5 @@
 // micro_pipeline: the sharded, double-buffered batch pipeline benchmark.
 //
-// Two sections:
-//
 //   overlap   streams a sequence of insert batches through the engine at
 //             several pool widths, once with the double buffer off (the
 //             PR 2 single-buffer engine) and once on, reporting wall-clock
@@ -11,19 +9,13 @@
 //             working; at 1 thread the pipeline degenerates and the two
 //             configurations should tie.
 //
-//   rehash    builds a hub-skewed graph twice and runs rehash_long_chains
-//             targeted (consuming the chain-length feedback apply recorded
-//             for free) vs full-scan, reporting tables examined by each.
-//
 // JSON metrics (tracked by bench/compare_bench.py):
 //   pipeline_overlap{threads=T}       overlap seconds / stage seconds
 //   pipeline_insert_rate{threads=T}   MEdge/s through the pipelined engine
-//   rehash_targeted_vs_full           full-scan tables / targeted tables
 //
 //   ./build/micro_pipeline --json=BENCH_pipeline.json
 //   flags: --batches=N --batch_exp=E --vertices_exp=E --threads=1,2,4 --quick
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -147,60 +139,6 @@ void run_overlap(const bench::BenchContext& ctx,
       "1-thread pipeline degenerates and matches the single-buffer engine");
 }
 
-void run_rehash(const bench::BenchContext& ctx, int tail_exp, int hub_degree) {
-  // Hub-skewed graph: 8 hubs with long chains, 2^tail_exp single-slab
-  // tails — the workload where scanning every vertex to find the handful
-  // of offenders is pure waste.
-  std::vector<core::WeightedEdge> edges;
-  const std::uint32_t tails = 1u << tail_exp;
-  for (core::VertexId hub = 0; hub < 8; ++hub) {
-    for (std::uint32_t k = 0; k < static_cast<std::uint32_t>(hub_degree); ++k) {
-      edges.push_back({hub, 100 + k, k});
-    }
-  }
-  for (core::VertexId u = 8; u < tails; ++u) {
-    edges.push_back({u, u + 1, 1});
-  }
-
-  core::GraphConfig cfg;
-  cfg.vertex_capacity = tails + 2;
-  const auto build = [&] {
-    auto g = std::make_unique<core::DynGraphMap>(cfg);
-    g->insert_edges(edges);
-    return g;
-  };
-  auto targeted = build();
-  auto full = build();
-
-  util::Timer t_targeted;
-  const std::uint32_t rehashed_targeted = targeted->rehash_long_chains(1.0);
-  const double targeted_ms = t_targeted.seconds() * 1e3;
-  util::Timer t_full;
-  const std::uint32_t rehashed_full =
-      full->rehash_long_chains(1.0, /*full_scan=*/true);
-  const double full_ms = t_full.seconds() * 1e3;
-
-  const auto scanned_targeted = targeted->last_rehash_stats().scanned;
-  const auto scanned_full = full->last_rehash_stats().scanned;
-  util::Table table({"Mode", "Tables scanned", "Rehashed", "ms"});
-  table.add_row({"targeted", std::to_string(scanned_targeted),
-                 std::to_string(rehashed_targeted),
-                 util::Table::fmt(targeted_ms)});
-  table.add_row({"full scan", std::to_string(scanned_full),
-                 std::to_string(rehashed_full), util::Table::fmt(full_ms)});
-  ctx.emit(table, "Run-aware rehash: " + std::to_string(tails) +
-                      " vertices, 8 hubs of degree " +
-                      std::to_string(hub_degree));
-  ctx.record("rehash_targeted_vs_full",
-             scanned_targeted > 0
-                 ? double(scanned_full) / double(scanned_targeted)
-                 : 0.0,
-             "x fewer tables", {});
-  bench::paper_shape_note(
-      "targeted rehash examines only the vertices apply observed past "
-      "their base slab; rehashed counts must match the full scan");
-}
-
 }  // namespace
 }  // namespace sg
 
@@ -208,13 +146,12 @@ int main(int argc, char** argv) {
   const sg::util::Cli cli(argc, argv);
   const auto ctx =
       sg::bench::BenchContext::from_cli(cli, 1.0, "micro_pipeline");
-  ctx.print_header("Batch pipeline: stage/apply overlap + run-aware rehash");
+  ctx.print_header("Batch pipeline: stage/apply overlap");
   const int vertices_exp = cli.get_int("vertices_exp", ctx.quick ? 15 : 17);
   const int batch_exp = cli.get_int("batch_exp", ctx.quick ? 14 : 16);
   const int num_batches = cli.get_int("batches", ctx.quick ? 4 : 8);
   sg::run_overlap(ctx, sg::parse_thread_list(cli), vertices_exp, batch_exp,
                   num_batches);
-  sg::run_rehash(ctx, ctx.quick ? 12 : 14, ctx.quick ? 400 : 1000);
   ctx.write_json();
   return 0;
 }

@@ -17,15 +17,16 @@
 //             (shards emit straight into presized global slices),
 //             reporting throughput.
 //
-//   rehash    streams a hub-skewed insert/query mix with the p99 auto-
-//             rehash policy on vs off, reporting trigger count, final mean
-//             chain length, and the query rate on the maintained graph.
+//   rehash    streams a hub-skewed insert/query mix with the auto-rehash
+//             policy on vs off, reporting trigger count, final mean chain
+//             length, and the query rate on the maintained graph.
 //
 // JSON metrics (tracked by bench/compare_bench.py):
 //   query_rate{threads=T}        MQuery/s through the pipelined engine
 //   query_overlap{threads=T}     overlap seconds / stage seconds
 //   merge_free_insert_rate       MEdge/s with zero-copy staging
-//   auto_rehash_triggers         policy firings on the skewed stream
+//   auto_rehash_triggers         batches that rebuilt a table on the
+//                                skewed stream
 //
 //   ./build/micro_query_pipeline --json=BENCH_query.json
 //   flags: --batches=N --batch_exp=E --vertices_exp=E --threads=1,2,4 --quick
@@ -225,9 +226,8 @@ void run_merge(const bench::BenchContext& ctx, int vertices_exp,
 void run_auto_rehash(const bench::BenchContext& ctx, int tail_exp,
                      int hub_degree) {
   // Hub-skewed stream: hubs chain heavily while 2^tail_exp vertices stay
-  // single-slab. Hubs scale with the tail (1/64th) so the long-run tail
-  // fraction sits at ~1.5% — past the policy's 1% trigger at every grid
-  // size — and interleaved query batches keep the histogram warm.
+  // single-slab. Every hub outgrows the 3-slab threshold of its one-bucket
+  // table, so the insert batch rebuilds the hubs before the query phase.
   const std::uint32_t tails = 1u << tail_exp;
   const std::uint32_t hubs = tails / 64;
   std::vector<core::WeightedEdge> edges;
@@ -252,7 +252,7 @@ void run_auto_rehash(const bench::BenchContext& ctx, int tail_exp,
     core::GraphConfig cfg;
     cfg.vertex_capacity = tails + static_cast<std::uint32_t>(hub_degree) + 1;
     cfg.stage_shards = 2;  // deterministic run counts across pool widths
-    cfg.auto_rehash_p99_slabs = auto_rehash ? 3.0 : 0.0;
+    cfg.auto_rehash_chain_slabs = auto_rehash ? 3.0 : 0.0;
     core::DynGraphMap g(cfg);
     g.insert_edges(edges);
     std::vector<std::uint8_t> found(probes.size());
@@ -261,7 +261,7 @@ void run_auto_rehash(const bench::BenchContext& ctx, int tail_exp,
     const double rate = util::mitems_per_second(
         double(probes.size()) * 20.0, timer.seconds());
     if (auto_rehash) triggers = g.auto_rehash_triggers();
-    table.add_row({auto_rehash ? "p99 auto (3 slabs)" : "off",
+    table.add_row({auto_rehash ? "auto (3 slabs)" : "off",
                    std::to_string(g.auto_rehash_triggers()),
                    util::Table::fmt(g.memory_stats().avg_chain_length()),
                    util::Table::fmt(rate)});
@@ -272,7 +272,7 @@ void run_auto_rehash(const bench::BenchContext& ctx, int tail_exp,
                       std::to_string(hub_degree));
   ctx.record("auto_rehash_triggers", double(triggers), "count", {});
   bench::paper_shape_note(
-      "the p99 policy fires during the skewed inserts without user calls, "
+      "the policy fires during the skewed inserts without user calls, "
       "flattening the hub chains the query phase then walks");
 }
 

@@ -13,8 +13,7 @@ namespace sg::core {
 template <class Policy>
 std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
                                      const VertexDictionary& dict,
-                                     Weight threshold, bool undirected,
-                                     ChainFeedback& feedback) {
+                                     Weight threshold, bool undirected) {
   std::vector<VertexId> live;
   std::vector<std::uint64_t> offsets{0};
   for (VertexId u = 0; u < dict.capacity(); ++u) {
@@ -29,7 +28,6 @@ std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
   std::vector<std::pair<std::uint64_t, std::vector<Edge>>> parts;
   std::mutex parts_mutex;
   simt::launch_runs(offsets, [&](std::uint64_t first, std::uint64_t last) {
-    ChainFeedback chunk_feedback;
     std::vector<Edge> expired;
     std::vector<VertexId> keys;
     simt::pipeline(
@@ -41,19 +39,15 @@ std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
         [&](std::uint64_t i) {
           const VertexId u = live[first + i];
           keys.resize(offsets[first + i + 1] - offsets[first + i]);
-          std::uint32_t chain_slabs = 0;
           const std::uint32_t n = Policy::scan_below(
               arena, dict.table(u), threshold, keys.data(),
-              static_cast<std::uint32_t>(keys.size()), &chain_slabs);
+              static_cast<std::uint32_t>(keys.size()));
           for (std::uint32_t k = 0; k < n; ++k) {
             if (undirected && u > keys[k]) continue;
             expired.push_back(Edge{u, keys[k]});
           }
-          if (chain_slabs > 1) chunk_feedback.note_long(u, chain_slabs);
         });
-    chunk_feedback.runs_observed += last - first;
     std::lock_guard<std::mutex> lock(parts_mutex);
-    feedback.merge_from(chunk_feedback);
     parts.emplace_back(first, std::move(expired));
   });
   std::sort(parts.begin(), parts.end(), [](const auto& a, const auto& b) {
@@ -67,7 +61,6 @@ std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
 }
 
 template std::vector<Edge> scan_expired_edges<MapPolicy>(
-    const memory::SlabArena&, const VertexDictionary&, Weight, bool,
-    ChainFeedback&);
+    const memory::SlabArena&, const VertexDictionary&, Weight, bool);
 
 }  // namespace sg::core

@@ -23,16 +23,14 @@ namespace sg::core {
 /// below `threshold`, in ascending order of u, so the result does not
 /// depend on the pool width. Undirected graphs keep only u <= v (the
 /// mirror carries the same timestamp). The vertices are balanced across
-/// the pool by degree; the chain depths the scan observes merge into
-/// `feedback`. Read-only: phase-serial with mutations, like a gather.
+/// the pool by degree. Read-only: phase-serial with mutations, like a
+/// gather.
 template <class Policy>
 std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
                                      const VertexDictionary& dict,
-                                     Weight threshold, bool undirected,
-                                     ChainFeedback& feedback);
+                                     Weight threshold, bool undirected);
 
 extern template std::vector<Edge> scan_expired_edges<MapPolicy>(
-    const memory::SlabArena&, const VertexDictionary&, Weight, bool,
-    ChainFeedback&);
+    const memory::SlabArena&, const VertexDictionary&, Weight, bool);
 
 }  // namespace sg::core

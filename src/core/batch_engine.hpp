@@ -32,11 +32,10 @@
 //      ranges balanced by query count; each warp walks a run's bucket
 //      chain once through the slabhash bulk entry points, software-
 //      pipelining the next run's head slab (simt::pipeline + prefetch)
-//      while the current slab's SIMD compares resolve. The bulk operations
-//      report each run's observed chain length, which apply folds into a
-//      ChainFeedback histogram — the §III chain-length metric — so
-//      rehash_long_chains can target offenders instead of scanning every
-//      vertex.
+//      while the current slab's SIMD compares resolve. An insert's
+//      per-source counter update doubles as the §III chain-length metric:
+//      a source whose live count outgrows its buckets is noted for rebuild
+//      once the batch commits (DynGraph::maybe_auto_rehash).
 //
 // Large batches additionally split into EPOCHS and double-buffer: epoch
 // e+1 runs stages 1-2 as a background ThreadPool job while epoch e runs
@@ -46,8 +45,7 @@
 // batches (edges_exist / edge_weights) pipeline through the identical
 // epoch machinery — stage+group of query slice N+1 overlaps the bulk
 // searches of slice N — with results scattered to input positions through
-// the staged sequence numbers, and the bulk searches feed chain lengths
-// into ChainFeedback exactly as mutations do.
+// the staged sequence numbers.
 //
 // The engine owns the run partition: a (table, bucket) pair appears in at
 // most one run per epoch, which is the exclusivity contract the bulk slab
@@ -61,7 +59,6 @@
 // through this engine — see docs/ARCHITECTURE.md.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -239,62 +236,6 @@ class BatchStaging {
   std::uint64_t grouped_runs_ = 0;      ///< runs counted by group_prepare
   std::uint64_t grouped_keys_ = 0;      ///< post-dedup keys counted
   bool dedup_ = false;                  ///< prepare's dedup, reused by emit
-};
-
-/// Per-(vertex, bucket) chain lengths observed by stage 3, in slabs — the
-/// low-cost §III maintenance metric. Runs that stayed in their base slab
-/// (the overwhelming majority at the paper's load factors) cost one
-/// predictable branch: only chains of >= 2 slabs are histogrammed
-/// (`hist[min(len, kHistBuckets + 1) - 2]`) and their vertices listed in
-/// `candidates` — the only tables targeted rehashing must revisit, since
-/// chains never shrink outside rehash/flush/clear. Base-slab-only runs are
-/// `runs_observed - sum(hist)`.
-struct ChainFeedback {
-  static constexpr std::uint32_t kHistBuckets = 8;
-  /// Cap on the candidate list (duplicates included — a hub reappears once
-  /// per long run). A graph mutated forever without ever calling
-  /// rehash_long_chains must not leak: past the cap the list saturates,
-  /// recording stops, and the next rehash falls back to the full sweep.
-  static constexpr std::size_t kMaxCandidates = std::size_t{1} << 20;
-  std::uint64_t runs_observed = 0;
-  std::array<std::uint64_t, kHistBuckets> hist{};
-  std::vector<VertexId> candidates;
-  bool saturated = false;
-
-  /// Records one run whose walk went past the base slab (chain_slabs >= 2).
-  void note_long(VertexId src, std::uint32_t chain_slabs) {
-    const std::uint32_t bin = chain_slabs - 2 < kHistBuckets - 1
-                                  ? chain_slabs - 2
-                                  : kHistBuckets - 1;
-    ++hist[bin];
-    candidates.push_back(src);
-  }
-  bool empty() const noexcept { return candidates.empty(); }
-  void merge_from(ChainFeedback& other) {
-    runs_observed += other.runs_observed;
-    for (std::uint32_t b = 0; b < kHistBuckets; ++b) hist[b] += other.hist[b];
-    saturated = saturated || other.saturated ||
-                candidates.size() + other.candidates.size() > kMaxCandidates;
-    if (saturated) {
-      // Completeness lost: targeted rehash must not run, and there is no
-      // point holding (or re-growing) the list until a full sweep resets.
-      candidates.clear();
-      candidates.shrink_to_fit();
-    } else {
-      candidates.insert(candidates.end(), other.candidates.begin(),
-                        other.candidates.end());
-    }
-    other.runs_observed = 0;
-    other.hist = {};
-    other.candidates.clear();
-    other.saturated = false;
-  }
-  void clear() {
-    runs_observed = 0;
-    hist = {};
-    candidates.clear();
-    saturated = false;
-  }
 };
 
 /// One double-buffer half of the pipelined engine: per-shard staging areas

@@ -113,8 +113,8 @@ class DynGraph {
  public:
   /// \param config construction-time knobs (see docs/CONFIG.md for the
   ///        full reference). \throws std::invalid_argument on out-of-range
-  ///        values (non-positive load_factor, auto_rehash_tail_frac
-  ///        outside (0, 1]).
+  ///        values (non-positive load_factor, compact_occupancy outside
+  ///        [0, 1]).
   explicit DynGraph(GraphConfig config);
 
   /// Tears down the scheduler first (queued submissions reject with
@@ -198,10 +198,9 @@ class DynGraph {
   /// Unknown / deleted / never-touched vertices yield empty slices.
   /// Duplicate inputs are fine (each occurrence gets its own slice).
   ///
-  /// Observed chain depths fold into ChainFeedback (inform-only, like
-  /// query phases — gathers NEVER fire the auto-rehash policy).
-  /// Phase-concurrent with queries and other gathers; must not overlap
-  /// mutations (use submit_analytics for the enforced contract).
+  /// Read-only: a gather never rebuilds a table. Phase-concurrent with
+  /// queries and other gathers; must not overlap mutations (use
+  /// submit_analytics for the enforced contract).
   void gather_neighbors(std::span<const VertexId> vertices,
                         std::vector<std::uint64_t>& offsets,
                         std::vector<VertexId>& neighbors) const;
@@ -432,34 +431,14 @@ class DynGraph {
   /// The §III maintenance hook: "maintain low-cost metrics per vertex to
   /// determine the chain-length and periodically perform rehashing if it
   /// exceeds a given threshold." Rebuilds every table whose expected chain
-  /// length (live keys / (buckets * Bc)) exceeds `max_chain_slabs` into a
+  /// length (live keys / (buckets * Bc)) exceeds `slabs_per_bucket` into a
   /// table sized for the configured load factor. Returns the number of
   /// tables rehashed. Phase-serial (must not run concurrently with other
-  /// operations). Old base slabs are abandoned (bulk slabs are never
-  /// reclaimed, matching §IV-D2); overflow slabs are freed.
-  ///
-  /// The scan is TARGETED: apply observes every run's chain length for
-  /// free (ChainFeedback), and only vertices seen past their base slab are
-  /// revisited — a chain cannot grow without a bulk operation walking it.
-  /// Falls back to the full sweep when `full_scan` is set or when
-  /// `max_chain_slabs < 1` (sub-slab thresholds can flag tables that never
-  /// chained). last_rehash_stats() reports which path ran and how many
-  /// tables it examined.
-  std::uint32_t rehash_long_chains(double max_chain_slabs = 1.0,
-                                   bool full_scan = false);
-
-  /// Tables examined / rebuilt by the last rehash_long_chains call.
-  struct RehashStats {
-    std::uint64_t scanned = 0;
-    std::uint32_t rehashed = 0;
-    bool targeted = false;
-  };
-  const RehashStats& last_rehash_stats() const { return last_rehash_stats_; }
-
-  /// Chain-length histogram + candidate list accumulated by apply since
-  /// the last targeted rehash consumed it (introspection for tests and the
-  /// pipeline bench).
-  const ChainFeedback& chain_feedback() const { return feedback_; }
+  /// operations). The old bucket range returns to the arena and overflow
+  /// slabs are freed. This is the manual sweep over every table; insert
+  /// batches apply the same test to the tables they grow
+  /// (GraphConfig::auto_rehash_chain_slabs).
+  std::uint32_t rehash_long_chains(double slabs_per_bucket = 1.0);
 
   /// Stage/apply wall-clock profile of the last batched mutation,
   /// including the overlap the double buffer achieved.
@@ -477,8 +456,9 @@ class DynGraph {
     return query_stats_;
   }
 
-  /// Times the automatic rehash policy (GraphConfig::auto_rehash_p99_slabs)
-  /// fired over this graph's lifetime.
+  /// Insert batches after which the automatic rehash policy
+  /// (GraphConfig::auto_rehash_chain_slabs) rebuilt at least one table,
+  /// over this graph's lifetime.
   std::uint64_t auto_rehash_triggers() const noexcept {
     return auto_rehash_count_;
   }
@@ -512,19 +492,25 @@ class DynGraph {
   /// batch splits into double-buffered epochs — stage+group of slice N+1
   /// runs as a background pool job while the bulk searches of slice N run
   /// — with results scattered to input positions through the staged
-  /// sequence numbers and observed chain lengths folded into feedback_.
-  /// Staging is local (query batches stay concurrent with each other).
+  /// sequence numbers. Staging is local (query batches stay concurrent
+  /// with each other).
   void search_batched(std::span<const Edge> queries, std::uint8_t* found_out,
                       Weight* weights_out) const;
   /// Runs the bulk searches of one staged query slice, scattering hits
   /// into the caller's output arrays.
   void search_apply_runs(const BatchStaging& staged, std::uint8_t* found_out,
                          Weight* weights_out, bool overlapped) const;
-  /// The §III auto-rehash policy: fires rehash_long_chains when more than
-  /// config_.auto_rehash_tail_frac of the live chain histogram sits
-  /// at/above config_.auto_rehash_p99_slabs. Called after every batched
-  /// mutation, under batch_mutex_.
+  /// The §III auto-rehash policy: rebuilds every table apply noted in
+  /// rehash_due_ (its live keys outgrew config_.auto_rehash_chain_slabs
+  /// slabs per bucket). Called after an insert batch commits, under
+  /// batch_mutex_.
   void maybe_auto_rehash();
+  /// `u`'s table, or an invalid TableRef when `u` has none: the read-only
+  /// table lookup of the erase and query staging passes.
+  slabhash::TableRef existing_table(VertexId u) const {
+    return u < dict_.capacity() && dict_.has_table(u) ? dict_.table(u)
+                                                      : slabhash::TableRef{};
+  }
   /// Creates the phase scheduler on first use (thread-safe; the conductor
   /// thread is only ever paid by graphs that actually submit).
   PhaseScheduler& ensure_scheduler();
@@ -544,16 +530,16 @@ class DynGraph {
   /// filtered record rebuilds it. A journal failure here is swallowed —
   /// the PartialBatchError is the caller's signal, and the journal has
   /// poisoned itself against further appends.
-  void journal_insert_committed(std::span<const WeightedEdge> edges,
-                                const std::vector<Edge>& unapplied) noexcept;
-  void journal_erase_committed(std::span<const Edge> edges,
-                               const std::vector<Edge>& unapplied) noexcept;
+  template <typename EdgeT>
+  void journal_committed(std::span<const EdgeT> edges,
+                         const std::vector<Edge>& unapplied) noexcept;
   /// Shared stage-3 driver: runs scheduled by query count, head slabs
   /// software-pipelined, per-source counter deltas aggregated before the
   /// atomic. `erase` flips between bulk_insert/counter-add and
   /// bulk_erase/counter-subtract. `overlapped` tightens launch chunking so
-  /// apply interleaves with a concurrent staging job. Chain lengths
-  /// observed per run fold into feedback_.
+  /// apply interleaves with a concurrent staging job. An insert notes in
+  /// rehash_due_ every source whose new live count exceeds the auto-rehash
+  /// threshold.
   std::uint64_t apply_mutation_runs(const BatchStaging& staged, bool erase,
                                     bool overlapped);
   /// The double-buffered epoch driver shared by the mutation AND query
@@ -587,7 +573,7 @@ class DynGraph {
   /// costs more in duplicate scanning than the parallel sort returns.
   std::uint32_t stage_shard_count(std::uint64_t items) const;
   /// Rebuilds `u`'s table if its expected chain exceeds the threshold.
-  bool maybe_rehash_table(VertexId u, double max_chain_slabs);
+  bool maybe_rehash_table(VertexId u, double slabs_per_bucket);
   /// Rebuilds `u`'s table at `buckets` buckets: move live keys, free the
   /// old overflow chain, swap the dictionary pointer, return the old base
   /// range to the arena. Shared by grow (maybe_rehash_table) and shrink
@@ -613,11 +599,10 @@ class DynGraph {
   /// whole under the lock.
   mutable BatchPipelineStats query_stats_;
   mutable std::mutex query_stats_mutex_;
-  /// Run chain lengths observed by apply AND by bulk searches (queries are
-  /// const, hence mutable; feedback_mutex_ serializes the merges).
-  mutable ChainFeedback feedback_;
-  mutable std::mutex feedback_mutex_;
-  RehashStats last_rehash_stats_;
+  /// Sources the current insert batch pushed past the auto-rehash
+  /// threshold (apply appends, maybe_auto_rehash consumes; both under
+  /// batch_mutex_).
+  std::vector<VertexId> rehash_due_;
   CompactStats last_compact_stats_;
   std::uint64_t auto_rehash_count_ = 0;
   /// Write-ahead batch journal (GraphConfig::journal_path; null = none).

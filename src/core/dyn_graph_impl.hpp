@@ -1,13 +1,15 @@
 // Method bodies of DynGraph<Policy>; included by dyn_graph_map.cpp and
-// dyn_graph_set.cpp which explicitly instantiate the two variants.
+// dyn_graph_set.cpp which explicitly instantiate the two variants. The
+// maintenance members (auto-rehash, rebuild, compaction) live in
+// dyn_graph_maintenance.cpp.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -61,10 +63,6 @@ DynGraph<Policy>::DynGraph(GraphConfig config)
     : config_(config), dict_(config.vertex_capacity) {
   if (config_.load_factor <= 0.0) {
     throw std::invalid_argument("load_factor must be positive");
-  }
-  if (config_.auto_rehash_tail_frac <= 0.0 ||
-      config_.auto_rehash_tail_frac > 1.0) {
-    throw std::invalid_argument("auto_rehash_tail_frac must be in (0, 1]");
   }
   if (config_.compact_occupancy < 0.0 || config_.compact_occupancy > 1.0) {
     throw std::invalid_argument("compact_occupancy must be in [0, 1]");
@@ -135,42 +133,27 @@ void DynGraph<Policy>::journal_erase(std::span<const Edge> edges) {
 }
 
 template <class Policy>
-void DynGraph<Policy>::journal_insert_committed(
-    std::span<const WeightedEdge> edges,
-    const std::vector<Edge>& unapplied) noexcept {
+template <typename EdgeT>
+void DynGraph<Policy>::journal_committed(
+    std::span<const EdgeT> edges, const std::vector<Edge>& unapplied) noexcept {
   if (!journal_) return;
   try {
     std::unordered_set<std::uint64_t> skip;
     skip.reserve(unapplied.size());
     for (const Edge& e : unapplied) skip.insert(edge_key(e.src, e.dst));
-    std::vector<WeightedEdge> committed;
+    std::vector<EdgeT> committed;
     committed.reserve(edges.size());
-    for (const WeightedEdge& e : edges) {
+    for (const EdgeT& e : edges) {
       if (!skip.contains(edge_key(e.src, e.dst))) committed.push_back(e);
     }
-    journal_insert(committed);
+    if constexpr (std::is_same_v<EdgeT, WeightedEdge>) {
+      journal_insert(committed);
+    } else {
+      journal_erase(committed);
+    }
   } catch (...) {
     // Best-effort (see the declaration): the journal poisoned itself, and
     // the caller's PartialBatchError already reports the abort.
-  }
-}
-
-template <class Policy>
-void DynGraph<Policy>::journal_erase_committed(
-    std::span<const Edge> edges, const std::vector<Edge>& unapplied) noexcept {
-  if (!journal_) return;
-  try {
-    std::unordered_set<std::uint64_t> skip;
-    skip.reserve(unapplied.size());
-    for (const Edge& e : unapplied) skip.insert(edge_key(e.src, e.dst));
-    std::vector<Edge> committed;
-    committed.reserve(edges.size());
-    for (const Edge& e : edges) {
-      if (!skip.contains(edge_key(e.src, e.dst))) committed.push_back(e);
-    }
-    journal_erase(committed);
-  } catch (...) {
-    // Best-effort, as above.
   }
 }
 
@@ -526,6 +509,7 @@ template <class Policy>
 std::uint64_t DynGraph<Policy>::insert_batched(
     std::span<const WeightedEdge> edges) {
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
+  rehash_due_.clear();  // notes of an aborted batch are never acted on
   // First-touch table creation needs no lazy-creation mutex even though
   // shards stage in parallel: the shard owning a vertex is the only one
   // that ever calls table_of for it.
@@ -558,7 +542,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
     if (config_.on_pressure) config_.on_pressure();
     std::vector<Edge> unapplied =
         unapplied_from_abort(edges, config_.undirected, abort);
-    journal_insert_committed(edges, unapplied);  // the exact committed prefix
+    journal_committed(edges, unapplied);  // the exact committed prefix
     throw PartialBatchError(
         abort.applied_before + abort.epoch.applied, std::move(unapplied),
         std::make_exception_ptr(memory::ArenaExhausted(
@@ -569,7 +553,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
     // staging): only epoch granularity is known.
     if (config_.on_pressure) config_.on_pressure();
     std::vector<Edge> unapplied = unapplied_from_epoch(edges, pipeline_stats_);
-    journal_insert_committed(edges, unapplied);
+    journal_committed(edges, unapplied);
     throw PartialBatchError(pipeline_stats_.applied_total,
                             std::move(unapplied), std::current_exception(),
                             "insert_edges aborted: arena exhausted");
@@ -579,7 +563,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
     // A staging job died (e.g. injected fault): committed epochs stand,
     // everything from the first uncommitted epoch on is unapplied.
     std::vector<Edge> unapplied = unapplied_from_epoch(edges, pipeline_stats_);
-    journal_insert_committed(edges, unapplied);
+    journal_committed(edges, unapplied);
     throw PartialBatchError(pipeline_stats_.applied_total,
                             std::move(unapplied), std::current_exception(),
                             "insert_edges aborted");
@@ -592,11 +576,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
 template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  const std::uint32_t capacity = dict_.capacity();
-  const auto table_of = [this, capacity](VertexId u) {
-    return u < capacity && dict_.has_table(u) ? dict_.table(u)
-                                              : slabhash::TableRef{};
-  };
+  const auto table_of = [this](VertexId u) { return existing_table(u); };
   std::uint64_t removed = 0;
   try {
     removed = run_mutation_pipeline(
@@ -613,62 +593,13 @@ std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
     // Deletion never allocates slabs, so only a dying staging job lands
     // here; committed epochs stand, the rest is unapplied.
     std::vector<Edge> unapplied = unapplied_from_epoch(edges, pipeline_stats_);
-    journal_erase_committed(edges, unapplied);
+    journal_committed(edges, unapplied);
     throw PartialBatchError(pipeline_stats_.applied_total,
                             std::move(unapplied), std::current_exception(),
                             "delete_edges aborted");
   }
   journal_erase(edges);  // write-behind: committed in memory, now durable
-  maybe_auto_rehash();
   return removed;
-}
-
-// The §III auto-rehash policy: "maintain low-cost metrics per vertex ...
-// and periodically perform rehashing if it exceeds a given threshold". The
-// bulk operations already histogram every run's chain length for free
-// (ChainFeedback); after a mutation batch commits, fire rehash_long_chains
-// when the tail at/above the configured chain threshold exceeds
-// auto_rehash_tail_frac of the runs observed since the last rehash — at
-// the default 0.01, when the p99 chain length crossed it. Runs under
-// batch_mutex_, after apply: the accumulated feedback is stable, and the
-// phase-concurrent model keeps queries out of the phase.
-template <class Policy>
-void DynGraph<Policy>::maybe_auto_rehash() {
-  const double threshold = config_.auto_rehash_p99_slabs;
-  if (threshold <= 0.0) return;
-  if (feedback_.runs_observed == 0) return;
-  // hist bin b counts chains of b + 2 slabs (last bin saturating): chains
-  // below 2 slabs are never histogrammed, so thresholds clamp to 2, and
-  // thresholds past the last bin degrade to its ">= kHistBuckets + 1"
-  // tail — the policy may fire earlier than such a threshold asks, never
-  // later (GraphConfig::auto_rehash_p99_slabs documents this).
-  const std::uint32_t min_chain =
-      threshold < 2.0 ? 2u
-                      : static_cast<std::uint32_t>(std::ceil(threshold));
-  std::uint32_t first_bin = min_chain - 2;
-  if (first_bin > ChainFeedback::kHistBuckets - 1) {
-    first_bin = ChainFeedback::kHistBuckets - 1;
-  }
-  std::uint64_t tail = 0;
-  for (std::uint32_t b = first_bin; b < ChainFeedback::kHistBuckets; ++b) {
-    tail += feedback_.hist[b];
-  }
-  // Tail fraction crossed (p99 at the default 0.01): integer-exact at the
-  // default, and any frac in (0, 1] compares without overflow.
-  if (static_cast<double>(tail) >
-      static_cast<double>(feedback_.runs_observed) *
-          config_.auto_rehash_tail_frac) {
-    ++auto_rehash_count_;
-    try {
-      rehash_long_chains(1.0);  // targeted: consumes the candidate list
-    } catch (const memory::ArenaExhausted&) {
-      // Opportunistic maintenance must never fail a batch that already
-      // committed: report the pressure and leave the long chains for a
-      // roomier moment. A table caught mid-move stays on its old (intact)
-      // table — only the abandoned fresh slabs are lost until then.
-      if (config_.on_pressure) config_.on_pressure();
-    }
-  }
 }
 
 template <class Policy>
@@ -684,8 +615,11 @@ std::uint64_t DynGraph<Policy>::apply_mutation_runs(const BatchStaging& staged,
   // that were NOT applied. Counters stay exact throughout: the bulk ops
   // return the precise applied count even on the failing call.
   std::atomic<bool> abort_flag{false};
-  std::mutex abort_mutex;
+  std::mutex merge_mutex;  // guards abort_unapplied and rehash_due_
   std::vector<Edge> abort_unapplied;
+  // Auto-rehash threshold in live keys per bucket (inserts only; 0 = off).
+  const double rehash_keys_per_bucket =
+      erase ? 0.0 : config_.auto_rehash_chain_slabs * Policy::kSlotCapacity;
   simt::LaunchConfig launch_cfg;
   // While a staging job shares the pool, smaller chunks let the scheduler
   // interleave the two jobs instead of parking workers on one of them.
@@ -698,17 +632,27 @@ std::uint64_t DynGraph<Policy>::apply_mutation_runs(const BatchStaging& staged,
         std::uint32_t counter_delta = 0;
         bool counting = false;
         std::vector<Edge> chunk_unapplied;
-        ChainFeedback chunk_feedback;
+        std::vector<VertexId> chunk_rehash;
         // Runs are sorted by source (within a shard's range), so one atomic
         // counter update covers every consecutive run of the same vertex.
+        // An insert's update also yields the source's new live count: past
+        // the threshold, the source is noted for rebuild.
         const auto flush_counter = [&] {
           if (counting && counter_delta != 0) {
             if (erase) {
               simt::atomic_sub(dict_.edge_count_word(counter_src),
                                counter_delta);
             } else {
-              simt::atomic_add(dict_.edge_count_word(counter_src),
-                               counter_delta);
+              const std::uint32_t live =
+                  simt::atomic_add(dict_.edge_count_word(counter_src),
+                                   counter_delta) +
+                  counter_delta;
+              if (rehash_keys_per_bucket > 0.0 &&
+                  static_cast<double>(live) >
+                      rehash_keys_per_bucket *
+                          dict_.table(counter_src).num_buckets) {
+                chunk_rehash.push_back(counter_src);
+              }
             }
             chunk_total += counter_delta;
           }
@@ -739,18 +683,17 @@ std::uint64_t DynGraph<Policy>::apply_mutation_runs(const BatchStaging& staged,
               }
               const auto count = static_cast<std::uint32_t>(end - begin);
               const slabhash::TableRef table = dict_.table(run.src);
-              std::uint32_t chain_slabs = 0;
               if (erase) {
                 counter_delta += Policy::bulk_erase(
                     arena_, table, run.bucket, staged.keys.data() + begin,
-                    count, &chain_slabs);
+                    count);
               } else {
                 slabhash::BulkStatus status;
                 counter_delta += Policy::bulk_insert(
                     arena_, table, run.bucket, staged.keys.data() + begin,
                     staged.values.empty() ? nullptr
                                           : staged.values.data() + begin,
-                    count, run.src, &chain_slabs, &status);
+                    count, run.src, &status);
                 if (!status.ok) {
                   // Arena ran dry mid-run. The failure is not a prefix of
                   // the run (see BulkStatus): the failing wave's
@@ -770,24 +713,18 @@ std::uint64_t DynGraph<Policy>::apply_mutation_runs(const BatchStaging& staged,
                   abort_flag.store(true, std::memory_order_relaxed);
                 }
               }
-              if (chain_slabs > 1) {
-                chunk_feedback.note_long(run.src, chain_slabs);
-              }
             });
         flush_counter();
-        chunk_feedback.runs_observed += last - first;
         if (chunk_total != 0) {
           total.fetch_add(chunk_total, std::memory_order_relaxed);
         }
-        {
-          std::lock_guard<std::mutex> lock(feedback_mutex_);
-          feedback_.merge_from(chunk_feedback);
-        }
-        if (!chunk_unapplied.empty()) {
-          std::lock_guard<std::mutex> lock(abort_mutex);
+        if (!chunk_unapplied.empty() || !chunk_rehash.empty()) {
+          std::lock_guard<std::mutex> lock(merge_mutex);
           abort_unapplied.insert(abort_unapplied.end(),
                                  chunk_unapplied.begin(),
                                  chunk_unapplied.end());
+          rehash_due_.insert(rehash_due_.end(), chunk_rehash.begin(),
+                             chunk_rehash.end());
         }
       },
       launch_cfg);
@@ -818,7 +755,6 @@ void DynGraph<Policy>::search_apply_runs(const BatchStaging& staged,
   simt::launch_runs(
       staged.run_offsets,
       [&](std::uint64_t first, std::uint64_t last) {
-        ChainFeedback chunk_feedback;
         simt::pipeline(
             last - first, kRunPrefetchDepth,
             [&](std::uint64_t i) {
@@ -831,31 +767,22 @@ void DynGraph<Policy>::search_apply_runs(const BatchStaging& staged,
               const std::uint64_t begin = staged.run_offsets[first + i];
               const std::uint64_t end = staged.run_offsets[first + i + 1];
               const auto count = static_cast<std::uint32_t>(end - begin);
-              std::uint32_t chain_slabs = 0;
               if constexpr (Policy::kHasValues) {
                 if (weights_out != nullptr) {
                   Policy::bulk_search_values(arena_, dict_.table(run.src),
                                              run.bucket,
                                              staged.keys.data() + begin, count,
                                              found.data() + begin,
-                                             values.data() + begin,
-                                             &chain_slabs);
+                                             values.data() + begin);
                 } else {
                   Policy::bulk_contains(arena_, dict_.table(run.src),
                                         run.bucket, staged.keys.data() + begin,
-                                        count, found.data() + begin,
-                                        &chain_slabs);
+                                        count, found.data() + begin);
                 }
               } else {
                 Policy::bulk_contains(arena_, dict_.table(run.src), run.bucket,
                                       staged.keys.data() + begin, count,
-                                      found.data() + begin, &chain_slabs);
-              }
-              // Queries observe chain lengths for free, exactly as the bulk
-              // mutations do — search-heavy phases keep the §III metric and
-              // the auto-rehash policy's histogram warm.
-              if (chain_slabs > 1) {
-                chunk_feedback.note_long(run.src, chain_slabs);
+                                      found.data() + begin);
               }
               for (std::uint64_t q = begin; q < end; ++q) {
                 // Scatter to the input position through the staged sequence.
@@ -865,11 +792,6 @@ void DynGraph<Policy>::search_apply_runs(const BatchStaging& staged,
                 }
               }
             });
-        chunk_feedback.runs_observed += last - first;
-        {
-          std::lock_guard<std::mutex> lock(feedback_mutex_);
-          feedback_.merge_from(chunk_feedback);
-        }
       },
       launch_cfg);
 }
@@ -891,11 +813,7 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
   // independently through LOCAL staging buffers (the double-buffered
   // members belong to the mutation phase).
   ShardedStaging bufs[2];
-  const std::uint32_t capacity = dict_.capacity();
-  const auto table_of = [this, capacity](VertexId u) {
-    return u < capacity && dict_.has_table(u) ? dict_.table(u)
-                                              : slabhash::TableRef{};
-  };
+  const auto table_of = [this](VertexId u) { return existing_table(u); };
   // One query slice's staging pass, with the staged sequence numbers
   // offset to GLOBAL input positions so scatter lands correctly. Safe to
   // run ahead of the current slice's searches: queries never mutate what
@@ -960,11 +878,6 @@ void DynGraph<Policy>::gather_neighbors(std::span<const VertexId> vertices,
   VertexId* out = neighbors.data();
 
   simt::launch_runs(offsets, [&](std::uint64_t first, std::uint64_t last) {
-    // Chain depths observed per vertex accumulate locally and merge once
-    // per chunk — inform-only, like query phases: gathers enrich the
-    // histogram but NEVER fire the auto-rehash policy (that stays a
-    // mutation-batch decision; see maybe_auto_rehash).
-    ChainFeedback chunk_feedback;
     simt::pipeline(
         last - first, kRunPrefetchDepth,
         [&](std::uint64_t i) {
@@ -977,15 +890,10 @@ void DynGraph<Policy>::gather_neighbors(std::span<const VertexId> vertices,
           const std::uint64_t slot = first + i;
           const std::uint64_t expect = offsets[slot + 1] - offsets[slot];
           if (expect == 0) return;  // unknown / deleted / isolated vertex
-          const VertexId u = vertices[slot];
-          std::uint32_t chain_slabs = 0;
-          Policy::gather(arena_, dict_.table(u), out + offsets[slot],
-                         static_cast<std::uint32_t>(expect), &chain_slabs);
-          if (chain_slabs > 1) chunk_feedback.note_long(u, chain_slabs);
+          Policy::gather(arena_, dict_.table(vertices[slot]),
+                         out + offsets[slot],
+                         static_cast<std::uint32_t>(expect));
         });
-    chunk_feedback.runs_observed += last - first;
-    std::lock_guard<std::mutex> lock(feedback_mutex_);
-    feedback_.merge_from(chunk_feedback);
   });
 }
 
@@ -1269,110 +1177,10 @@ std::uint64_t DynGraph<Policy>::delete_edges_older_than(Weight threshold)
   // ts < threshold, strictly — the DynoGraph window convention: an edge AT
   // the threshold survives. The expired set retires as ONE delete_edges
   // batch on the engine pipeline.
-  ChainFeedback scan_feedback;
   const std::vector<Edge> expired = scan_expired_edges<Policy>(
-      arena_, dict_, threshold, config_.undirected, scan_feedback);
-  {
-    std::lock_guard<std::mutex> lock(feedback_mutex_);
-    feedback_.merge_from(scan_feedback);
-  }
+      arena_, dict_, threshold, config_.undirected);
   if (expired.empty()) return 0;
   return delete_edges(expired);
-}
-
-template <class Policy>
-typename DynGraph<Policy>::CompactStats DynGraph<Policy>::compact() {
-  CompactStats s;
-  s.chunks_before = arena_.live_chunks();
-  // Dead keys would be migrated byte-for-byte; shed them first so shrink
-  // sizes from real occupancy and migration copies only live chains.
-  flush_all_tombstones();
-  // Table shrink. Growth rehash sizes a table for the live count it sees
-  // and nothing ever sizes it back down, so under a sliding window every
-  // table settles at its PEAK degree and total base memory ratchets up as
-  // running maxima drift. Rebuild any table whose live count warrants at
-  // most half its current buckets; post-shrink occupancy lands at
-  // load_factor, comfortably under the auto-rehash grow trigger, so the
-  // half hysteresis prevents ping-pong.
-  for (VertexId u = 0; u < dict_.capacity(); ++u) {
-    if (!dict_.has_table(u)) continue;
-    const slabhash::TableRef table = dict_.table(u);
-    if (dict_.edge_count(u) == 0) {
-      // Aging emptied this vertex entirely: drop the table instead of
-      // keeping a 1-bucket stub forever. Lazy first-touch creation
-      // rebuilds it if the vertex re-enters the window, so total base
-      // memory tracks the vertices IN the window, not every vertex the
-      // stream ever mentioned. (delete_vertices itself still keeps
-      // tables — §IV-D2 — reclamation is compact's job alone.)
-      Policy::clear(arena_, table);
-      arena_.free_contiguous(table.base, table.num_buckets);
-      dict_.set_table(u, {memory::kNullSlab, 0});
-      ++s.shrunk_tables;
-      continue;
-    }
-    if (table.num_buckets <= 1) continue;
-    const std::uint32_t target = slabhash::buckets_for(
-        dict_.edge_count(u), config_.load_factor, Policy::kSlotCapacity);
-    if (target * 2 > table.num_buckets) continue;
-    rebuild_table(u, table, target);
-    ++s.shrunk_tables;
-  }
-  arena_.drain_free_caches();
-  // Victim selection: dynamic chunks below the occupancy threshold.
-  // (flag vector indexed by chunk, consumed by allocate_avoiding so a
-  // migrated slab never lands in another victim).
-  const auto occupancy = arena_.dynamic_chunk_occupancy();
-  std::uint32_t max_index = 0;
-  for (const auto& o : occupancy) max_index = std::max(max_index, o.index);
-  std::vector<std::uint8_t> victim(max_index + 1, 0);
-  const auto threshold = static_cast<std::uint32_t>(
-      config_.compact_occupancy * memory::SlabArena::kChunkSlabs);
-  for (const auto& o : occupancy) {
-    if (o.used_slabs > 0 && o.used_slabs < threshold) {
-      victim[o.index] = 1;
-      ++s.victim_chunks;
-    }
-  }
-  if (s.victim_chunks != 0) {
-    // Walk every bucket chain; any overflow slab living in a victim chunk
-    // is copied into a non-victim chunk and the owning next pointer is
-    // rewritten. Base slabs are bulk (never dynamic), so only chain TAILS
-    // move — the table refs themselves are untouched.
-    for (VertexId u = 0; u < dict_.capacity(); ++u) {
-      if (!dict_.has_table(u)) continue;
-      const slabhash::TableRef table = dict_.table(u);
-      for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
-        memory::SlabHandle prev = table.bucket_head(b);
-        for (;;) {
-          const memory::SlabHandle next = simt::atomic_load(
-              arena_.resolve(prev).words[slabhash::kNextPtrWord]);
-          if (next == memory::kNullSlab) break;
-          const std::uint32_t ci = memory::SlabArena::chunk_index_of(next);
-          if (ci < victim.size() && victim[ci] != 0) {
-            const memory::SlabHandle moved =
-                arena_.allocate_avoiding(slabhash::kEmptyKey, victim);
-            const memory::Slab& src = arena_.resolve(next);
-            memory::Slab& dst = arena_.resolve(moved);
-            for (int w = 0; w < memory::kWordsPerSlab; ++w) {
-              dst.words[w] = src.words[w];
-            }
-            simt::atomic_store(
-                arena_.resolve(prev).words[slabhash::kNextPtrWord], moved);
-            arena_.free_direct(next);
-            ++s.migrated_slabs;
-            prev = moved;
-          } else {
-            prev = next;
-          }
-        }
-      }
-    }
-  }
-  s.released_chunks =
-      arena_.release_empty_chunks(config_.compact_keep_free_chunks);
-  s.chunks_after = arena_.live_chunks();
-  last_compact_stats_ = s;
-  return s;
 }
 
 template <class Policy>
@@ -1392,91 +1200,6 @@ template <class Policy>
 std::future<std::uint64_t> DynGraph<Policy>::submit_maintenance(
     std::function<std::uint64_t()> task) {
   return ensure_scheduler().submit_maintenance(std::move(task));
-}
-
-template <class Policy>
-bool DynGraph<Policy>::maybe_rehash_table(VertexId u, double max_chain_slabs) {
-  if (u >= dict_.capacity() || !dict_.has_table(u)) return false;
-  const slabhash::TableRef old_table = dict_.table(u);
-  const std::uint32_t live = dict_.edge_count(u);
-  const double expected_chain =
-      static_cast<double>(live) /
-      (static_cast<double>(old_table.num_buckets) * Policy::kSlotCapacity);
-  if (expected_chain <= max_chain_slabs) return false;
-  // Build a right-sized table and move the live keys over; the move also
-  // sheds tombstones. Only adjacency-list contents move — the dictionary
-  // entry is a pointer swap, as in §IV-A1.
-  rebuild_table(u, old_table, slabhash::buckets_for(
-                                  live, config_.load_factor,
-                                  Policy::kSlotCapacity));
-  return true;
-}
-
-template <class Policy>
-void DynGraph<Policy>::rebuild_table(VertexId u,
-                                     const slabhash::TableRef& old_table,
-                                     std::uint32_t buckets) {
-  slabhash::TableRef fresh{
-      arena_.allocate_contiguous(buckets, slabhash::kEmptyKey), buckets};
-  Policy::for_each(arena_, old_table, [&](VertexId dst, Weight w) {
-    Policy::insert(arena_, fresh, dst, w, config_.hash_seed, u);
-  });
-  Policy::clear(arena_, old_table);  // frees the old overflow chain
-  dict_.set_table(u, fresh);
-  // The old bucket array has no live references once the dictionary points
-  // at the fresh table: return the whole range for reuse. Without this,
-  // every rehash leaks one base array and sliding-window churn (aging
-  // batches -> tombstoned chains -> auto-rehash) grows bulk memory without
-  // bound — the leak micro_stream's steady_chunk_flatness gate watches.
-  arena_.free_contiguous(old_table.base, old_table.num_buckets);
-}
-
-template <class Policy>
-std::uint32_t DynGraph<Policy>::rehash_long_chains(double max_chain_slabs,
-                                                   bool full_scan) {
-  if (max_chain_slabs <= 0.0) {
-    throw std::invalid_argument("max_chain_slabs must be positive");
-  }
-  last_rehash_stats_ = {};
-  // The targeted path is complete for thresholds >= 1 slab: an offender
-  // has more live keys than base capacity, so some bulk insert extended
-  // (and therefore observed) a chain past the base slab and recorded the
-  // vertex. Sub-slab thresholds can flag tables that never chained, and a
-  // saturated candidate list has dropped observations — both fall back to
-  // the full sweep (which resets the feedback).
-  const bool targeted =
-      !full_scan && max_chain_slabs >= 1.0 && !feedback_.saturated;
-  last_rehash_stats_.targeted = targeted;
-  std::uint32_t rehashed = 0;
-  if (targeted) {
-    std::vector<VertexId>& candidates = feedback_.candidates;
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    std::vector<VertexId> survivors;
-    for (const VertexId u : candidates) {
-      ++last_rehash_stats_.scanned;
-      if (maybe_rehash_table(u, max_chain_slabs)) {
-        ++rehashed;
-      } else if (u < dict_.capacity() && dict_.has_table(u)) {
-        // Observed past its base slab but under this threshold: keep the
-        // observation for a future, stricter call.
-        survivors.push_back(u);
-      }
-    }
-    feedback_.candidates = std::move(survivors);
-    feedback_.hist = {};  // the histogram described the consumed interval
-    feedback_.runs_observed = 0;
-  } else {
-    feedback_.clear();  // the full sweep subsumes every observation
-    for (VertexId u = 0; u < dict_.capacity(); ++u) {
-      if (!dict_.has_table(u)) continue;
-      ++last_rehash_stats_.scanned;
-      if (maybe_rehash_table(u, max_chain_slabs)) ++rehashed;
-    }
-  }
-  last_rehash_stats_.rehashed = rehashed;
-  return rehashed;
 }
 
 template <class Policy>

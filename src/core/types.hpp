@@ -100,27 +100,15 @@ struct GraphConfig {
   /// epoch plan.
   std::uint32_t pipeline_epoch_edges = 0;
 
-  /// Automatic rehash policy (§III "periodically perform rehashing"): after
-  /// every batched mutation the engine inspects the live chain histogram
-  /// ChainFeedback accumulated for free by the bulk operations; when more
-  /// than 1% of observed runs walked chains of at least this many slabs —
-  /// i.e. the p99 chain length crossed the threshold — rehash_long_chains
-  /// fires on its own, no user call needed. The histogram resolves chains
-  /// of 2..9 slabs (its last bin saturates at ">= 9"), so values below 2
-  /// clamp to 2 and values above 9 degrade to 9: a 12-slab threshold
-  /// counts the ">= 9 slabs" tail and may therefore fire earlier than
-  /// requested (never later). 0 disables the trigger. Queries feed the
-  /// histogram too, but only mutation batches may fire (the
-  /// phase-concurrent model keeps query phases read-only).
-  double auto_rehash_p99_slabs = 4.0;
-
-  /// Tail fraction of the automatic rehash trigger: the policy fires when
-  /// MORE than this fraction of observed runs walked chains at/above
-  /// auto_rehash_p99_slabs. The default 0.01 is the "p99" in the knob
-  /// above; smaller values rehash more eagerly (p99.9 at 0.001), larger
-  /// ones tolerate a fatter tail before paying a rebuild. Must be in
-  /// (0, 1]; use auto_rehash_p99_slabs = 0 to disable the policy.
-  double auto_rehash_tail_frac = 0.01;
+  /// Automatic rehash policy (§III: "maintain low-cost metrics per vertex
+  /// to determine the chain-length and periodically perform rehashing if
+  /// it exceeds a given threshold"). The metric is the Alg. 1/2 edge
+  /// counter against the table's bucket count: an insert batch notes every
+  /// source whose live keys would fill more than this many slabs per
+  /// bucket, and once the batch commits each noted table is rebuilt at the
+  /// configured load factor. Erase batches, queries, gathers and age scans
+  /// never rebuild. 0 disables the policy.
+  double auto_rehash_chain_slabs = 4.0;
 
   /// Cap on queued (not-yet-admitted) submissions in the phase scheduler.
   /// 0 = unbounded (the pre-admission-control behavior). When the cap is

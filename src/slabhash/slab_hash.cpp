@@ -1,5 +1,6 @@
 #include "src/slabhash/slab_hash.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <vector>
@@ -149,8 +150,7 @@ inline std::uint32_t live_key_words(const std::uint32_t* snap) noexcept {
 }
 
 /// insert after hashing: shared by the scalar entry point and the bulk
-/// path's singleton runs (which arrive pre-hashed). `chain_slabs`, when
-/// non-null, receives how deep into the chain the walk went (1 = base).
+/// path's singleton runs (which arrive pre-hashed).
 /// On arena exhaustion: records the failure into `status` when given (the
 /// key is then NOT inserted and not counted), else throws ArenaExhausted.
 /// kSharedBucket: other threads may insert into this bucket at the same
@@ -165,16 +165,10 @@ template <class Layout, bool kSharedBucket>
 bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
                       std::uint32_t bucket, std::uint32_t key,
                       std::uint32_t value, std::uint32_t alloc_seed,
-                      std::uint32_t* chain_slabs = nullptr,
                       BulkStatus* status = nullptr) {
   SlabHandle handle = table.bucket_head(bucket);
-  // The walked depth is kept in a register and published only at the exits:
-  // a per-slab store through chain_slabs could alias slab words and force
-  // the compiler to reload them mid-probe.
-  std::uint32_t depth = 0;
   [[maybe_unused]] std::uint32_t* reuse = nullptr;  // first tombstone passed
   for (;;) {
-    ++depth;
     Slab& slab = arena.resolve(handle);
     std::uint32_t snap[memory::kWordsPerSlab];
     const std::uint32_t* words = slab.words;
@@ -188,7 +182,6 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
     const std::uint32_t match = probe.match & Layout::kKeyWordsMask;
     if (match != 0) {  // key already stored
       overwrite_value<Layout>(slab, std::countr_zero(match), value);
-      if (chain_slabs != nullptr) *chain_slabs = depth;
       return false;
     }
     std::uint32_t empties = probe.empty & Layout::kKeyWordsMask;
@@ -201,7 +194,6 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
           (empties != 0 ||
            atomic_load(slab.words[kNextPtrWord]) == kNullSlab)) {
         fill_tombstone<Layout>(reuse, key, value);
-        if (chain_slabs != nullptr) *chain_slabs = depth;
         return true;
       }
     }
@@ -210,17 +202,13 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
     while (empties != 0) {
       const Claim claim =
           claim_slot<Layout>(slab, std::countr_zero(empties), key, value);
-      if (claim != Claim::kTaken) {
-        if (chain_slabs != nullptr) *chain_slabs = depth;
-        return claim == Claim::kWon;
-      }
+      if (claim != Claim::kTaken) return claim == Claim::kWon;
       empties &= empties - 1;  // a different key claimed the slot
     }
     SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
     if (next == kNullSlab) {
       next = extend_chain(arena, slab, alloc_seed + key);
       if (next == kNullSlab) {
-        if (chain_slabs != nullptr) *chain_slabs = depth;
         if (status == nullptr) throw_exhausted();
         status->ok = false;
         status->fail_base = 0;
@@ -235,13 +223,10 @@ bool insert_in_bucket(memory::SlabArena& arena, TableRef table,
 /// erase after hashing (scalar entry point + singleton bulk runs).
 template <class Layout>
 bool erase_in_bucket(memory::SlabArena& arena, TableRef table,
-                     std::uint32_t bucket, std::uint32_t key,
-                     std::uint32_t* chain_slabs = nullptr) {
+                     std::uint32_t bucket, std::uint32_t key) {
   SlabHandle handle = table.bucket_head(bucket);
-  std::uint32_t depth = 0;  // published at the exits only (aliasing)
   bool removed = false;
   while (handle != kNullSlab) {
-    ++depth;
     Slab& slab = arena.resolve(handle);
     const simt::SlabProbe probe =
         simt::probe_slab(slab.words, key, kEmptyKey, kTombstoneKey);
@@ -257,7 +242,6 @@ bool erase_in_bucket(memory::SlabArena& arena, TableRef table,
     if ((probe.empty & Layout::kKeyWordsMask) != 0) break;
     handle = atomic_load(slab.words[kNextPtrWord]);
   }
-  if (chain_slabs != nullptr) *chain_slabs = depth;
   return removed;
 }
 
@@ -339,8 +323,7 @@ template <class Layout>
 std::uint32_t SlabOps<Layout>::bulk_insert(
     memory::SlabArena& arena, TableRef table, std::uint32_t bucket,
     const std::uint32_t* keys, [[maybe_unused]] const std::uint32_t* values,
-    std::uint32_t count, std::uint32_t alloc_seed, std::uint32_t* chain_slabs,
-    BulkStatus* status) {
+    std::uint32_t count, std::uint32_t alloc_seed, BulkStatus* status) {
   // The set has no values: every value argument below is unused.
   const auto value_at = [values](std::uint32_t i) -> std::uint32_t {
     if constexpr (kHasValues) {
@@ -351,26 +334,22 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
   };
   if (count == 1) {  // singleton run: sparse batches are mostly these
     return insert_in_bucket<Layout, false>(arena, table, bucket, keys[0],
-                                           value_at(0), alloc_seed,
-                                           chain_slabs, status)
+                                           value_at(0), alloc_seed, status)
                ? 1u
                : 0u;
   }
   std::uint32_t added = 0;
-  std::uint32_t max_depth = 0;
   for (std::uint32_t base = 0; base < count; base += simt::kWarpSize) {
     const std::uint32_t wave = count - base < simt::kWarpSize
                                    ? count - base
                                    : static_cast<std::uint32_t>(simt::kWarpSize);
     std::uint32_t pending = simt::lanemask_below(static_cast<int>(wave));
     SlabHandle handle = table.bucket_head(bucket);
-    std::uint32_t depth = 0;
     // Key words of the tombstones passed so far, in chain order. A wave of
     // <= 32 keys never fills more than 32 of them.
     std::uint32_t* tombs[simt::kWarpSize];
     std::uint32_t num_tombs = 0;
     while (pending != 0) {
-      ++depth;
       Slab& slab = arena.resolve(handle);
       // Load the successor early: its slab climbs the cache hierarchy
       // while this slab's compares and claims resolve.
@@ -453,8 +432,6 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
           // Arena exhausted mid-wave. Keys already applied (this wave's
           // cleared lanes, and every earlier wave) stay applied and stay
           // counted in `added`; the failure report covers the rest.
-          if (depth > max_depth) max_depth = depth;
-          if (chain_slabs != nullptr) *chain_slabs = max_depth;
           if (status == nullptr) throw_exhausted();
           status->ok = false;
           status->fail_base = base;
@@ -464,9 +441,7 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
       }
       handle = next;
     }
-    if (depth > max_depth) max_depth = depth;
   }
-  if (chain_slabs != nullptr) *chain_slabs = max_depth;
   return added;
 }
 
@@ -474,24 +449,18 @@ template <class Layout>
 std::uint32_t SlabOps<Layout>::bulk_erase(memory::SlabArena& arena,
                                           TableRef table, std::uint32_t bucket,
                                           const std::uint32_t* keys,
-                                          std::uint32_t count,
-                                          std::uint32_t* chain_slabs) {
+                                          std::uint32_t count) {
   if (count == 1) {
-    return erase_in_bucket<Layout>(arena, table, bucket, keys[0], chain_slabs)
-               ? 1u
-               : 0u;
+    return erase_in_bucket<Layout>(arena, table, bucket, keys[0]) ? 1u : 0u;
   }
   std::uint32_t removed = 0;
-  std::uint32_t max_depth = 0;
   for (std::uint32_t base = 0; base < count; base += simt::kWarpSize) {
     const std::uint32_t wave = count - base < simt::kWarpSize
                                    ? count - base
                                    : static_cast<std::uint32_t>(simt::kWarpSize);
     std::uint32_t pending = simt::lanemask_below(static_cast<int>(wave));
     SlabHandle handle = table.bucket_head(bucket);
-    std::uint32_t depth = 0;
     while (pending != 0 && handle != kNullSlab) {
-      ++depth;
       Slab& slab = arena.resolve(handle);
       const SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
@@ -526,9 +495,7 @@ std::uint32_t SlabOps<Layout>::bulk_erase(memory::SlabArena& arena,
       if (empties != 0) break;
       handle = next;
     }
-    if (depth > max_depth) max_depth = depth;
   }
-  if (chain_slabs != nullptr) *chain_slabs = max_depth;
   return removed;
 }
 
@@ -537,20 +504,7 @@ void SlabOps<Layout>::bulk_search(const memory::SlabArena& arena,
                                   TableRef table, std::uint32_t bucket,
                                   const std::uint32_t* keys,
                                   std::uint32_t count, std::uint8_t* found,
-                                  [[maybe_unused]] std::uint32_t* values,
-                                  std::uint32_t* chain_slabs) {
-  if (count == 1 && chain_slabs == nullptr) {
-    const MapFindResult r =
-        search_in_bucket<Layout>(arena, table, bucket, keys[0]);
-    found[0] = r.found ? 1 : 0;
-    if constexpr (kHasValues) {
-      if (values != nullptr && r.found) values[0] = r.value;
-    }
-    return;
-  }
-  // Chain depth is register-held and published once at exit, matching the
-  // bulk mutations' aliasing-safe feedback discipline.
-  std::uint32_t deepest = 0;
+                                  [[maybe_unused]] std::uint32_t* values) {
   for (std::uint32_t base = 0; base < count; base += simt::kWarpSize) {
     const std::uint32_t wave = count - base < simt::kWarpSize
                                    ? count - base
@@ -558,9 +512,7 @@ void SlabOps<Layout>::bulk_search(const memory::SlabArena& arena,
     std::uint32_t pending = simt::lanemask_below(static_cast<int>(wave));
     for (std::uint32_t lane = 0; lane < wave; ++lane) found[base + lane] = 0;
     SlabHandle handle = table.bucket_head(bucket);
-    std::uint32_t depth = 0;
     while (pending != 0 && handle != kNullSlab) {
-      ++depth;
       const Slab& slab = arena.resolve(handle);
       const SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
       if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
@@ -593,9 +545,7 @@ void SlabOps<Layout>::bulk_search(const memory::SlabArena& arena,
       if (empties != 0) break;  // empties only at the tail: the rest miss
       handle = next;
     }
-    if (depth > deepest) deepest = depth;
   }
-  if (chain_slabs != nullptr) *chain_slabs = deepest;
 }
 
 template <class Layout>
@@ -624,15 +574,11 @@ void SlabOps<Layout>::for_each(
 template <class Layout>
 std::uint32_t SlabOps<Layout>::gather(const memory::SlabArena& arena,
                                       TableRef table, std::uint32_t* out,
-                                      std::uint32_t cap,
-                                      std::uint32_t* chain_slabs) {
+                                      std::uint32_t cap) {
   std::uint32_t written = 0;
-  std::uint32_t deepest = 0;  // register-held, published once at exit
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
     SlabHandle handle = table.bucket_head(b);
-    std::uint32_t depth = 0;
     while (handle != kNullSlab) {
-      ++depth;
       std::uint32_t snap[memory::kWordsPerSlab];
       simt::snapshot_slab(arena.resolve(handle), snap);
       const SlabHandle next = snap[kNextPtrWord];
@@ -644,9 +590,7 @@ std::uint32_t SlabOps<Layout>::gather(const memory::SlabArena& arena,
       }
       handle = next;
     }
-    if (depth > deepest) deepest = depth;
   }
-  if (chain_slabs != nullptr) *chain_slabs = deepest;
   return written;
 }
 
@@ -655,17 +599,13 @@ std::uint32_t SlabOps<Layout>::scan_below(const memory::SlabArena& arena,
                                           TableRef table,
                                           std::uint32_t threshold,
                                           std::uint32_t* out,
-                                          std::uint32_t cap,
-                                          std::uint32_t* chain_slabs)
+                                          std::uint32_t cap)
   requires kHasValues
 {
   std::uint32_t written = 0;
-  std::uint32_t deepest = 0;  // register-held, published once at exit
   for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
     SlabHandle handle = table.bucket_head(b);
-    std::uint32_t depth = 0;
     while (handle != kNullSlab) {
-      ++depth;
       std::uint32_t snap[memory::kWordsPerSlab];
       simt::snapshot_slab(arena.resolve(handle), snap);
       const SlabHandle next = snap[kNextPtrWord];
@@ -678,9 +618,7 @@ std::uint32_t SlabOps<Layout>::scan_below(const memory::SlabArena& arena,
       }
       handle = next;
     }
-    if (depth > deepest) deepest = depth;
   }
-  if (chain_slabs != nullptr) *chain_slabs = deepest;
   return written;
 }
 
@@ -754,6 +692,40 @@ void SlabOps<Layout>::flush_tombstones(memory::SlabArena& arena,
       for (std::size_t s = keep_slabs; s < chain.size(); ++s) {
         arena.free(chain[s]);
       }
+    }
+  }
+}
+
+template <class Layout>
+void SlabOps<Layout>::copy_live(memory::SlabArena& arena, TableRef from,
+                                TableRef to, std::uint64_t seed,
+                                std::uint32_t alloc_seed) {
+  constexpr int kStride = Layout::kKeyStride;
+  // Each destination bucket fills its tail slab in slot order, so EMPTY
+  // slots stay at the tail of every chain.
+  std::vector<Slab*> tail(to.num_buckets);
+  std::vector<int> used(to.num_buckets, 0);
+  for (std::uint32_t b = 0; b < to.num_buckets; ++b) {
+    tail[b] = &arena.resolve(to.bucket_head(b));
+  }
+  for (std::uint32_t b = 0; b < from.num_buckets; ++b) {
+    for (SlabHandle handle = from.bucket_head(b); handle != kNullSlab;) {
+      const Slab& slab = arena.resolve(handle);
+      for (std::uint32_t live = live_key_words<Layout>(slab.words); live != 0;
+           live &= live - 1) {
+        const int key_word = std::countr_zero(live);
+        const std::uint32_t dst =
+            bucket_of(slab.words[key_word], to.num_buckets, seed);
+        if (used[dst] == Layout::kSlotsPerSlab) {
+          const SlabHandle next = arena.allocate(kEmptyKey, alloc_seed + dst);
+          tail[dst]->words[kNextPtrWord] = next;
+          tail[dst] = &arena.resolve(next);
+          used[dst] = 0;
+        }
+        std::copy_n(slab.words + key_word, kStride,
+                    tail[dst]->words + used[dst]++ * kStride);
+      }
+      handle = slab.words[kNextPtrWord];
     }
   }
 }

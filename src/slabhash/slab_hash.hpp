@@ -86,10 +86,6 @@ struct SlabOps {
   /// a key already present has its value overwritten. New keys fill the
   /// tombstones the walk passed, in chain order, before the tail EMPTY
   /// slots, and only then grow the chain. Returns the number of NEW keys.
-  /// When `chain_slabs` is non-null it receives the deepest slab position
-  /// the walk reached (1 = base slab only), including slabs
-  /// appended by this call — the §III chain-length metric the batch engine
-  /// feeds back to targeted rehashing, observed for free.
   /// Arena exhaustion: with `status` non-null the call stops, records the
   /// failing wave into *status (see BulkStatus), and returns the exact
   /// count of keys applied so far; with `status` null it throws
@@ -100,29 +96,20 @@ struct SlabOps {
                                    const std::uint32_t* values,
                                    std::uint32_t count,
                                    std::uint32_t alloc_seed = 0,
-                                   std::uint32_t* chain_slabs = nullptr,
                                    BulkStatus* status = nullptr);
 
   /// Bulk erase of a run; returns the number of keys that were present.
-  /// `chain_slabs` as in bulk_insert (erase never extends the chain).
   static std::uint32_t bulk_erase(memory::SlabArena& arena, TableRef table,
                                   std::uint32_t bucket,
                                   const std::uint32_t* keys,
-                                  std::uint32_t count,
-                                  std::uint32_t* chain_slabs = nullptr);
+                                  std::uint32_t count);
 
   /// Bulk membership of a run: found[i] = 1 iff keys[i] is live. Duplicate
-  /// keys in the run are fine (lookups are independent). `chain_slabs`,
-  /// when non-null, receives the deepest slab position the walk reached
-  /// (1 = base slab only) — queries observe chain lengths for free exactly
-  /// as the bulk mutations do, so search-heavy phases feed the §III rehash
-  /// metric too.
+  /// keys in the run are fine (lookups are independent).
   static void bulk_contains(const memory::SlabArena& arena, TableRef table,
                             std::uint32_t bucket, const std::uint32_t* keys,
-                            std::uint32_t count, std::uint8_t* found,
-                            std::uint32_t* chain_slabs = nullptr) {
-    bulk_search(arena, table, bucket, keys, count, found, nullptr,
-                chain_slabs);
+                            std::uint32_t count, std::uint8_t* found) {
+    bulk_search(arena, table, bucket, keys, count, found, nullptr);
   }
 
   /// Like bulk_contains, and values[i] receives the stored value on a hit —
@@ -130,11 +117,10 @@ struct SlabOps {
   static void bulk_search_values(const memory::SlabArena& arena,
                                  TableRef table, std::uint32_t bucket,
                                  const std::uint32_t* keys, std::uint32_t count,
-                                 std::uint8_t* found, std::uint32_t* values,
-                                 std::uint32_t* chain_slabs = nullptr)
+                                 std::uint8_t* found, std::uint32_t* values)
     requires kHasValues
   {
-    bulk_search(arena, table, bucket, keys, count, found, values, chain_slabs);
+    bulk_search(arena, table, bucket, keys, count, found, values);
   }
 
   /// Calls fn(key, value) for every live key (value 0 in the set).
@@ -147,22 +133,20 @@ struct SlabOps {
   /// one snapshot + mask extraction per slab; returns the number written
   /// (stops at `cap`, so a caller sizing from the exact degree counter never
   /// overruns even on misuse). Values are skipped — this is the adjacency
-  /// gather analytics consume. `chain_slabs` as in bulk_contains.
+  /// gather analytics consume.
   static std::uint32_t gather(const memory::SlabArena& arena, TableRef table,
-                              std::uint32_t* out, std::uint32_t cap,
-                              std::uint32_t* chain_slabs = nullptr);
+                              std::uint32_t* out, std::uint32_t cap);
 
   /// Value-filtered gather: writes the key of every live pair whose value is
   /// STRICTLY below `threshold` into `out` (caller-presized to `cap` slots),
   /// reading each stored value in place during one walk of every bucket
   /// chain (one snapshot + live mask per slab, as in gather). Returns the
-  /// number written, stopping at `cap`. `chain_slabs` as in gather. This is
-  /// the window-aging scan: with timestamps as values it lists the expired
-  /// keys without a hash probe per key.
+  /// number written, stopping at `cap`. This is the window-aging scan:
+  /// with timestamps as values it lists the expired keys without a hash
+  /// probe per key.
   static std::uint32_t scan_below(const memory::SlabArena& arena,
                                   TableRef table, std::uint32_t threshold,
-                                  std::uint32_t* out, std::uint32_t cap,
-                                  std::uint32_t* chain_slabs = nullptr)
+                                  std::uint32_t* out, std::uint32_t cap)
     requires kHasValues;
 
   /// Occupancy statistics (Figure 2b/2c inputs).
@@ -174,6 +158,16 @@ struct SlabOps {
   /// are freed. Must not run concurrently with any other operation on
   /// `table`.
   static void flush_tombstones(memory::SlabArena& arena, TableRef table);
+
+  /// Copies every live key (with its value) of `from` into `to`, an empty
+  /// table no other thread can reach yet: the rebuild path of rehash and
+  /// shrink. Keys are hashed into `to`'s buckets with `seed` and written
+  /// slot by slot with plain stores, since a table never holds a key twice
+  /// and nothing races the fresh slabs: no probe and no CAS per key. Chains
+  /// grow with slabs spread by `alloc_seed`. `from` is left unchanged.
+  /// Throws memory::ArenaExhausted when a chain cannot grow.
+  static void copy_live(memory::SlabArena& arena, TableRef from, TableRef to,
+                        std::uint64_t seed, std::uint32_t alloc_seed);
 
   /// Frees every overflow (dynamic) slab of the table and resets base slabs
   /// to EMPTY. Used by vertex deletion (§IV-D2). Phase-serial per table.
@@ -192,7 +186,7 @@ struct SlabOps {
   static void bulk_search(const memory::SlabArena& arena, TableRef table,
                           std::uint32_t bucket, const std::uint32_t* keys,
                           std::uint32_t count, std::uint8_t* found,
-                          std::uint32_t* values, std::uint32_t* chain_slabs);
+                          std::uint32_t* values);
 };
 
 using MapOps = SlabOps<MapLayout>;

@@ -189,6 +189,16 @@ void expect_matches_model(const DynGraph<Policy>& g, const ReferenceGraph& m) {
   EXPECT_EQ(graph_edges(g), m.edges(Policy::kHasValues));
 }
 
+/// Buckets of `u`'s table (0 when it has none): the base slabs the slab
+/// iterator visits.
+template <class Policy>
+std::uint32_t bucket_count(const DynGraph<Policy>& g, VertexId u) {
+  std::uint32_t buckets = 0;
+  auto it = g.edge_iterator(u);
+  while (it.next()) buckets += it.on_base_slab() ? 1 : 0;
+  return buckets;
+}
+
 /// Unique scratch directory per test, removed on scope exit.
 class TempDir {
  public:

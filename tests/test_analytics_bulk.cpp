@@ -2,8 +2,8 @@
 // iterator exactly, every bulk algorithm (BFS, CC, TC) must equal its
 // scalar twin differentially on random and skewed graphs, the incremental
 // triangle counter must track a from-scratch recount through arbitrary
-// batches (duplicates included), gathers must never fire the auto-rehash
-// policy (inform-only feedback), and the analytics phase kind must be safe
+// batches (duplicates included), gathers must never rebuild a table, and
+// the analytics phase kind must be safe
 // under racing mixed submitters (run under TSan in CI).
 #include <gtest/gtest.h>
 
@@ -228,12 +228,12 @@ TEST(IncrementalTc, EmptyAndSelfLoopOnlyBatchesResolve) {
   g.schedule_drain();
 }
 
-// ---- gathers are inform-only (never fire auto-rehash) ----------------------
+// ---- gathers are read-only (never fire auto-rehash) -----------------------
 
 TEST(GatherFeedback, AnalyticsAloneNeverTriggersRebuild) {
-  // Hub-heavy graph with chains far past the auto-rehash threshold: every
-  // gather observes long chains, feedback grows, and yet the rehash
-  // counter must not move — only mutation batches consult the policy.
+  // Every one-bucket table holds 31 neighbours in a two-slab chain: the
+  // gathers walk the chains, yet no table and no rehash counter may move —
+  // only insert batches consult the policy.
   GraphConfig cfg;
   cfg.vertex_capacity = 32;
   cfg.undirected = true;
@@ -245,13 +245,16 @@ TEST(GatherFeedback, AnalyticsAloneNeverTriggersRebuild) {
   g.insert_edges(edges);
 
   const std::uint64_t rehashes_before = g.auto_rehash_triggers();
-  const std::uint64_t runs_before = g.chain_feedback().runs_observed;
+  const core::GraphMemoryStats before = g.memory_stats();
+  ASSERT_EQ(before.base_slabs, 32u);
+  ASSERT_EQ(before.overflow_slabs, 32u);
   std::vector<VertexId> all(32);
   for (VertexId u = 0; u < 32; ++u) all[u] = u;
   for (int i = 0; i < 20; ++i) (void)g.gather_neighbors(all);
 
-  EXPECT_GT(g.chain_feedback().runs_observed, runs_before);
   EXPECT_EQ(g.auto_rehash_triggers(), rehashes_before);
+  EXPECT_EQ(g.memory_stats().base_slabs, before.base_slabs);
+  EXPECT_EQ(g.memory_stats().overflow_slabs, before.overflow_slabs);
 }
 
 // ---- analytics phase under racing mixed submitters (TSan target) -----------

@@ -230,7 +230,7 @@ void run_tombstone_reuse_model(bool undirected, std::uint64_t seed) {
   GraphConfig cfg;
   cfg.vertex_capacity = kVertices;
   cfg.undirected = undirected;
-  cfg.auto_rehash_p99_slabs = 0;  // keep the long chains in place
+  cfg.auto_rehash_chain_slabs = 0;  // keep the long chains in place
   cfg.journal_path = dir.file("j");
   ReferenceGraph model(undirected);
   util::Xoshiro256 rng(seed);
@@ -347,7 +347,7 @@ void run_capped_arena_reuse() {
   // One 1 MiB chunk: the base slabs take it, so no collision slab can ever
   // be allocated and a bucket that runs full aborts its batch.
   cfg.max_arena_chunks = 1;
-  cfg.auto_rehash_p99_slabs = 0;  // a rehash would rebuild tables out of it
+  cfg.auto_rehash_chain_slabs = 0;  // a rehash would rebuild tables out of it
   DynGraph<Policy> g(cfg);
   ReferenceGraph model;
   util::Xoshiro256 rng(41);

@@ -252,7 +252,7 @@ TEST(DynGraphMapBasics, IncrementalSingleBucketChains) {
   std::vector<WeightedEdge> edges;
   for (std::uint32_t v = 1; v <= 600; ++v) edges.push_back({0, v, 0});
   GraphConfig cfg = small_config();
-  cfg.auto_rehash_p99_slabs = 0.0;
+  cfg.auto_rehash_chain_slabs = 0.0;
   DynGraphMap g(cfg);
   g.insert_edges(edges);
   const GraphMemoryStats stats = g.memory_stats();
@@ -298,7 +298,7 @@ TEST(DynGraphMapBasics, FlushAllTombstonesPreservesContent) {
 /// so the trigger must not consume the long chains first.
 GraphConfig manual_rehash_config() {
   GraphConfig cfg = small_config();
-  cfg.auto_rehash_p99_slabs = 0.0;
+  cfg.auto_rehash_chain_slabs = 0.0;
   return cfg;
 }
 

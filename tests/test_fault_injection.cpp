@@ -12,10 +12,10 @@
 //     queries as if nothing happened (no leaked locks, no wedged conductor,
 //     no corrupt counters).
 //
-// Requires -DSLABGRAPH_FAULTS=ON (the fault-injection CI job); in normal
-// builds the whole suite SKIPs so the auto-registered binary stays green.
-// Schedules derive from SG_FAULT_SEED (default 42) so CI sweeps seeds and
-// any failure replays from the seed alone.
+// The injected schedules require -DSLABGRAPH_FAULTS=ON (the fault-injection
+// CI job) and derive from SG_FAULT_SEED (default 42), so CI sweeps seeds and
+// any failure replays from the seed alone. The capped-arena case first in
+// this file needs no injector and runs in every build.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,19 +25,82 @@
 #include <vector>
 
 #include "src/core/dyn_graph.hpp"
+#include "src/memory/slab_arena.hpp"
 #include "src/util/fault_injection.hpp"
+#include "tests/graph_test_util.hpp"
 
-#ifndef SLABGRAPH_FAULTS
-
-namespace sg::util {
+namespace sg::core {
 namespace {
-TEST(FaultInjection, RequiresFaultBuild) {
-  GTEST_SKIP() << "build with -DSLABGRAPH_FAULTS=ON to run the fault harness";
-}
-}  // namespace
-}  // namespace sg::util
 
-#else  // SLABGRAPH_FAULTS
+// --------------------------------------------------------------------------
+// Auto-rehash under a capped arena (every build)
+// --------------------------------------------------------------------------
+
+/// An insert batch commits, but the rebuild it triggers cannot get its
+/// contiguous bucket range: insert_edges must still return normally, with
+/// on_pressure fired once and the graph equal to the model. Once compact()
+/// hands a range back, the next batch that grows the table rebuilds it.
+template <class Policy>
+void run_rebuild_without_room() {
+  GraphConfig cfg;
+  cfg.max_arena_chunks = 2;  // one chunk of base slabs, one of chain slabs
+  cfg.compact_occupancy = 0.0;  // migrating slabs would need a third chunk
+  int pressure_calls = 0;
+  cfg.on_pressure = [&pressure_calls] { ++pressure_calls; };
+  DynGraph<Policy> g(cfg);
+  testutil::ReferenceGraph model;
+  constexpr VertexId kHub = 1;
+  constexpr VertexId kFiller = 500;
+
+  // A degree hint sizes kFiller's table to all but a few base slabs of the
+  // first chunk; kHub's first-touch table takes one more.
+  const double per_bucket = cfg.load_factor * Policy::kSlotCapacity;
+  const std::vector<VertexId> filler{kFiller};
+  const std::vector<std::uint32_t> hint{static_cast<std::uint32_t>(
+      (memory::SlabArena::kChunkSlabs - 8) * per_bucket)};
+  g.insert_vertices(filler, hint);
+
+  // Far past the 4-slab threshold of a one-bucket table, so the batch
+  // notes kHub, whose rebuild needs more buckets than the chunk has left.
+  const auto insert = [&](VertexId first_dst, std::uint32_t count) {
+    std::vector<WeightedEdge> batch;
+    for (std::uint32_t k = 0; k < count; ++k) {
+      batch.push_back({kHub, first_dst + k, k + 1});
+    }
+    EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
+  };
+  const auto rebuilt_buckets = [&] {
+    return slabhash::buckets_for(g.degree(kHub), cfg.load_factor,
+                                 Policy::kSlotCapacity);
+  };
+  insert(1000, 10 * Policy::kSlotCapacity);
+  ASSERT_GT(rebuilt_buckets(), memory::SlabArena::kChunkSlabs -
+                                   g.arena_stats().bulk_slabs);
+  EXPECT_EQ(pressure_calls, 1);
+  EXPECT_EQ(g.auto_rehash_triggers(), 0u);
+  EXPECT_EQ(testutil::bucket_count(g, kHub), 1u);
+  testutil::expect_matches_model(g, model);
+
+  // compact() drops kFiller's empty table and returns its range.
+  g.compact();
+  insert(5000, 10);
+  EXPECT_EQ(pressure_calls, 1);
+  EXPECT_EQ(g.auto_rehash_triggers(), 1u);
+  EXPECT_EQ(testutil::bucket_count(g, kHub), rebuilt_buckets());
+  testutil::expect_matches_model(g, model);
+}
+
+TEST(AutoRehashPressure, MapRebuildWithoutRoomIsSwallowed) {
+  run_rebuild_without_room<MapPolicy>();
+}
+TEST(AutoRehashPressure, SetRebuildWithoutRoomIsSwallowed) {
+  run_rebuild_without_room<SetPolicy>();
+}
+
+}  // namespace
+}  // namespace sg::core
+
+#ifdef SLABGRAPH_FAULTS
 
 #include <atomic>
 #include <future>
@@ -45,9 +108,7 @@ TEST(FaultInjection, RequiresFaultBuild) {
 #include <thread>
 
 #include "src/core/errors.hpp"
-#include "src/memory/slab_arena.hpp"
 #include "src/simt/thread_pool.hpp"
-#include "tests/graph_test_util.hpp"
 
 namespace sg::core {
 namespace {

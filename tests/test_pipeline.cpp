@@ -3,9 +3,8 @@
 // one-epoch (single-buffer) run — must equal the reference model across
 // shard counts, epoch sizes, and pool widths (including the degenerate
 // 1-thread pipeline and pools wider than the shard count); most-recent-wins
-// dedup must stay deterministic across shard AND epoch boundaries; targeted
-// rehash must match the full scan while visiting strictly fewer tables; and
-// the batched edge_weights API must agree with point lookups and the model.
+// dedup must stay deterministic across shard AND epoch boundaries; and the
+// batched edge_weights API must agree with point lookups and the model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,86 +224,6 @@ TEST(EdgeWeights, MatchesPointLookupsAndModel) {
 TEST(EdgeWeights, EmptyBatchIsNoop) {
   DynGraphMap g(pipeline_config(false, 2, 0));
   g.edge_weights({}, nullptr, nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Targeted (run-aware) rehash
-// ---------------------------------------------------------------------------
-
-/// Hub-heavy inserts: a handful of vertices grow chains far past one slab
-/// while the long tail stays in its base slab.
-std::vector<WeightedEdge> hub_batch(std::uint32_t num_vertices,
-                                    std::uint32_t hub_degree) {
-  std::vector<WeightedEdge> edges;
-  for (VertexId hub = 0; hub < 3; ++hub) {
-    for (std::uint32_t k = 0; k < hub_degree; ++k) {
-      edges.push_back({hub, 10 + k, k});
-    }
-  }
-  for (VertexId u = 3; u < num_vertices; ++u) {
-    edges.push_back({u, u + 1, 1});
-  }
-  return edges;
-}
-
-TEST(TargetedRehash, MatchesFullScanAndVisitsFewerTables) {
-  const auto edges = hub_batch(400, 200);
-  DynGraphMap targeted(pipeline_config(false, 2, 0));
-  DynGraphMap full(pipeline_config(false, 2, 0));
-  targeted.insert_edges(edges);
-  full.insert_edges(edges);
-
-  // Apply observed the hub chains for free.
-  EXPECT_FALSE(targeted.chain_feedback().empty());
-  std::uint64_t histogram_total = 0;
-  for (const std::uint64_t h : targeted.chain_feedback().hist) {
-    histogram_total += h;
-  }
-  EXPECT_GT(histogram_total, 0u);
-
-  const std::uint32_t rehashed_targeted = targeted.rehash_long_chains(1.0);
-  const std::uint32_t rehashed_full =
-      full.rehash_long_chains(1.0, /*full_scan=*/true);
-  EXPECT_EQ(rehashed_targeted, rehashed_full);
-  EXPECT_GT(rehashed_targeted, 0u);
-  EXPECT_TRUE(targeted.last_rehash_stats().targeted);
-  EXPECT_FALSE(full.last_rehash_stats().targeted);
-  // The point of the feedback: strictly fewer tables examined.
-  EXPECT_LT(targeted.last_rehash_stats().scanned,
-            full.last_rehash_stats().scanned);
-  expect_identical(targeted, full);
-
-  // A second targeted pass finds nothing new and scans almost nothing.
-  EXPECT_EQ(targeted.rehash_long_chains(1.0), 0u);
-  EXPECT_LE(targeted.last_rehash_stats().scanned, 3u);
-}
-
-TEST(TargetedRehash, FallsBackToFullScanBelowOneSlab) {
-  DynGraphMap g(pipeline_config(false, 1, 0));
-  g.insert_edges(hub_batch(50, 40));
-  g.rehash_long_chains(0.5);  // sub-slab threshold: must sweep everything
-  EXPECT_FALSE(g.last_rehash_stats().targeted);
-}
-
-TEST(TargetedRehash, FeedbackSaturatesInsteadOfGrowingUnbounded) {
-  // A graph mutated forever without ever calling rehash_long_chains must
-  // not leak candidate entries: past the cap the list empties, saturation
-  // is flagged (forcing the next rehash onto the complete full sweep),
-  // and clear() restores targeted operation.
-  ChainFeedback global;
-  ChainFeedback chunk;
-  global.candidates.assign(ChainFeedback::kMaxCandidates - 1, VertexId{7});
-  for (int i = 0; i < 8; ++i) chunk.note_long(9, 3);
-  global.merge_from(chunk);
-  EXPECT_TRUE(global.saturated);
-  EXPECT_TRUE(global.candidates.empty());
-  EXPECT_GT(global.hist[1], 0u);  // the histogram keeps accumulating
-  // Saturation survives further merges of unsaturated chunks.
-  chunk.note_long(4, 2);
-  global.merge_from(chunk);
-  EXPECT_TRUE(global.saturated);
-  global.clear();
-  EXPECT_FALSE(global.saturated);
 }
 
 // ---------------------------------------------------------------------------

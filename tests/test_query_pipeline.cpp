@@ -8,10 +8,10 @@
 //   * merge-free staging must keep mutations equal to the model, obey the
 //     count/place two-pass invariant, assemble exactly what each shard's
 //     fused grouping produces, and keep the shard-partition guard armed;
-//   * bulk searches must feed observed chain lengths into ChainFeedback
-//     exactly as mutations do, and the GraphConfig::auto_rehash_p99_slabs
-//     policy must fire rehash_long_chains without user calls while
-//     preserving graph content.
+//   * the GraphConfig::auto_rehash_chain_slabs policy must rebuild exactly
+//     the tables an insert batch pushed past the threshold, without user
+//     calls, while preserving graph content; erase batches, queries,
+//     gathers and age scans must never rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +37,7 @@ GraphConfig engine_config(std::uint32_t shards, std::uint32_t epoch_edges,
   cfg.undirected = undirected;
   cfg.stage_shards = shards;
   cfg.pipeline_epoch_edges = epoch_edges;
-  cfg.auto_rehash_p99_slabs = 0.0;  // rehash timing is pinned per test
+  cfg.auto_rehash_chain_slabs = 0.0;  // rehash timing is pinned per test
   return cfg;
 }
 
@@ -262,7 +262,7 @@ TEST(MergeFreeStaging, PartitionGuardStillArmsTheDebugAssertion) {
 }
 
 // ---------------------------------------------------------------------------
-// Chain feedback from queries + the automatic rehash policy
+// The automatic rehash policy
 // ---------------------------------------------------------------------------
 
 /// Hub-heavy inserts: `hubs` vertices grow chains far past one slab while a
@@ -282,47 +282,15 @@ std::vector<WeightedEdge> hub_batch(std::uint32_t hubs,
   return edges;
 }
 
-TEST(QueryChainFeedback, BulkSearchesFeedTheHistogram) {
-  GraphConfig cfg = engine_config(2, 0);
-  cfg.vertex_capacity = 2048;
-  DynGraphMap g(cfg);
-  g.insert_edges(hub_batch(3, 200, 60));
-  // Drain the insert-time histogram without rebuilding anything: at a
-  // 100-slab threshold nothing qualifies, and the consumed interval's
-  // histogram resets.
-  EXPECT_EQ(g.rehash_long_chains(100.0), 0u);
-  std::uint64_t hist_total = 0;
-  for (const std::uint64_t h : g.chain_feedback().hist) hist_total += h;
-  EXPECT_EQ(hist_total, 0u);
-
-  // A pure query phase must refill it: the hub chains are ~14 slabs deep
-  // and every bulk search walks them.
-  std::vector<Edge> queries;
-  for (std::uint32_t k = 0; k < 200; ++k) queries.push_back({0, 1000 + k});
-  std::vector<std::uint8_t> out(queries.size());
-  g.edges_exist(queries, out.data());
-  for (std::uint32_t k = 0; k < 200; ++k) ASSERT_EQ(out[k], 1u);
-  hist_total = 0;
-  for (const std::uint64_t h : g.chain_feedback().hist) hist_total += h;
-  EXPECT_GT(hist_total, 0u) << "bulk searches must histogram chain lengths";
-
-  // And the query-fed candidates are enough for a targeted rehash to find
-  // the offenders without a sweep.
-  const std::uint32_t rehashed = g.rehash_long_chains(1.0);
-  EXPECT_GT(rehashed, 0u);
-  EXPECT_TRUE(g.last_rehash_stats().targeted);
-  EXPECT_LT(g.last_rehash_stats().scanned, 20u);
-}
-
 TEST(AutoRehash, FiresWithoutUserCallsAndPreservesContent) {
-  // >1% of runs walk chains >= 4 slabs => the p99 policy must fire during
-  // insert_edges itself.
+  // 80 keys in a one-bucket table fill more than 4 slabs => the policy must
+  // fire during insert_edges itself.
   const auto edges = hub_batch(40, 80, 200);
   GraphConfig auto_cfg = engine_config(2, 0);
   auto_cfg.vertex_capacity = 2048;
-  auto_cfg.auto_rehash_p99_slabs = 4.0;
+  auto_cfg.auto_rehash_chain_slabs = 4.0;
   GraphConfig manual_cfg = auto_cfg;
-  manual_cfg.auto_rehash_p99_slabs = 0.0;
+  manual_cfg.auto_rehash_chain_slabs = 0.0;
 
   DynGraphMap auto_graph(auto_cfg);
   DynGraphMap manual_graph(manual_cfg);
@@ -338,77 +306,114 @@ TEST(AutoRehash, FiresWithoutUserCallsAndPreservesContent) {
             manual_graph.memory_stats().avg_chain_length());
 }
 
-TEST(AutoRehash, TailFractionKnobControlsTheTrigger) {
-  // Same skewed stream as FiresWithoutUserCalls: 40 hub runs out of ~240
-  // walk >= 4-slab chains, a tail fraction of roughly 1/6. The default
-  // 0.01 (p99) must fire, and a tolerance ABOVE the actual tail must not
-  // — the knob, not a hard-wired 1%, decides.
-  const auto edges = hub_batch(40, 80, 200);
-  for (const double frac : {0.01, 0.5}) {
-    GraphConfig cfg = engine_config(2, 0);
-    cfg.vertex_capacity = 2048;
-    cfg.auto_rehash_p99_slabs = 4.0;
-    cfg.auto_rehash_tail_frac = frac;
-    DynGraphMap g(cfg);
-    g.insert_edges(edges);
-    if (frac <= 0.01) {
-      EXPECT_GE(g.auto_rehash_triggers(), 1u) << "frac=" << frac;
-    } else {
-      EXPECT_EQ(g.auto_rehash_triggers(), 0u) << "frac=" << frac;
-    }
-  }
-}
-
-TEST(AutoRehash, TailFractionIsValidatedAtConstruction) {
-  GraphConfig cfg;
-  cfg.auto_rehash_tail_frac = 0.0;  // "fire on any tail" is frac -> 0+,
-  EXPECT_THROW(DynGraphMap{cfg}, std::invalid_argument);  // not 0
-  cfg.auto_rehash_tail_frac = -0.5;
-  EXPECT_THROW(DynGraphMap{cfg}, std::invalid_argument);
-  cfg.auto_rehash_tail_frac = 1.5;
-  EXPECT_THROW(DynGraphMap{cfg}, std::invalid_argument);
-  cfg.auto_rehash_tail_frac = 1.0;  // the permissive extreme is legal
-  DynGraphMap ok(cfg);
-  EXPECT_EQ(ok.config().auto_rehash_tail_frac, 1.0);
-}
-
 TEST(AutoRehash, StaysQuietOnUniformWorkloads) {
   GraphConfig cfg = engine_config(2, 0);
-  cfg.auto_rehash_p99_slabs = 4.0;
+  cfg.auto_rehash_chain_slabs = 4.0;
   DynGraphMap g(cfg);
   g.insert_edges(random_batch(61, 2000, 200));  // short chains everywhere
   EXPECT_EQ(g.auto_rehash_triggers(), 0u);
 }
 
-TEST(AutoRehash, QueriesInformButNeverFireThePolicy) {
-  // Queries feed the histogram but must not fire the (mutating) policy
-  // themselves — the phase-concurrent model keeps query phases read-only.
-  // The accumulated query observations DO count at the next mutation.
-  GraphConfig cfg = engine_config(1, 0);
-  cfg.vertex_capacity = 2048;
-  cfg.auto_rehash_p99_slabs = 4.0;
-  DynGraphMap g(cfg);
-  // 3 long runs out of ~503: under the 1% tail, the insert must not fire.
-  g.insert_edges(hub_batch(3, 200, 500));
-  ASSERT_EQ(g.auto_rehash_triggers(), 0u);
-  const auto before = g.memory_stats();
-
-  // Hammer the hub chains with query batches: each walk histograms another
-  // long chain, pushing the tail fraction well past 1% — but a query phase
-  // may only observe, never rebuild.
-  std::vector<Edge> queries;
-  for (std::uint32_t k = 0; k < 200; ++k) queries.push_back({0, 1000 + k});
-  std::vector<std::uint8_t> out(queries.size());
-  for (int rep = 0; rep < 10; ++rep) g.edges_exist(queries, out.data());
-  EXPECT_EQ(g.auto_rehash_triggers(), 0u);
-  EXPECT_EQ(g.memory_stats().overflow_slabs, before.overflow_slabs);
-
-  // The very next mutation inspects the query-fed histogram and fires.
-  const std::vector<WeightedEdge> one_edge{{600, 601, 1}};
-  g.insert_edges(one_edge);
-  EXPECT_EQ(g.auto_rehash_triggers(), 1u);
-  EXPECT_LT(g.memory_stats().overflow_slabs, before.overflow_slabs);
+template <class Policy>
+std::vector<std::uint32_t> bucket_counts(const DynGraph<Policy>& g) {
+  std::vector<std::uint32_t> out(g.vertex_capacity());
+  for (VertexId u = 0; u < out.size(); ++u) out[u] = bucket_count(g, u);
+  return out;
 }
+
+/// `count` edges from `src` to fresh destinations, timestamped `ts`.
+std::vector<WeightedEdge> fan_out(VertexId src, VertexId first_dst,
+                                  std::uint32_t count, Weight ts) {
+  std::vector<WeightedEdge> edges;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    edges.push_back({src, first_dst + k, ts});
+  }
+  return edges;
+}
+
+/// The auto-rehash trigger against the model. Every table starts with one
+/// bucket (first touch), so the threshold is 4 slabs' worth of keys:
+///   * a batch that pushes the hub past it leaves the hub rebuilt (more
+///     buckets, content equal to the model), in the batch that crossed;
+///   * a table filled exactly to the threshold is never rebuilt;
+///   * erase batches, edges_exist, gather_neighbors and
+///     delete_edges_older_than never rebuild anything;
+///   * the manual sweep at the same threshold then finds nothing left.
+template <class Policy>
+void run_auto_rehash_model(bool undirected) {
+  GraphConfig cfg = engine_config(2, 0, undirected);
+  cfg.vertex_capacity = 4096;
+  cfg.auto_rehash_chain_slabs = 4.0;
+  DynGraph<Policy> g(cfg);
+  ReferenceGraph model(undirected);
+  const std::uint32_t limit = 4 * Policy::kSlotCapacity;
+  constexpr VertexId kHub = 1;
+  constexpr VertexId kFull = 2;  // filled exactly to the threshold
+  const auto insert = [&](const std::vector<WeightedEdge>& batch) {
+    EXPECT_EQ(g.insert_edges(batch), model.insert(batch));
+    expect_matches_model(g, model);
+  };
+
+  // Under the threshold everywhere: nothing is rebuilt.
+  std::vector<WeightedEdge> batch = fan_out(kHub, 1000, limit - 5, 1);
+  const auto full = fan_out(kFull, 2000, limit, 1);
+  batch.insert(batch.end(), full.begin(), full.end());
+  for (WeightedEdge e : random_batch(7, 300, 200)) {  // away from the above
+    batch.push_back({e.src + 3000, e.dst + 3000, e.weight});
+  }
+  insert(batch);
+  ASSERT_EQ(g.degree(kFull), limit);
+  EXPECT_EQ(g.auto_rehash_triggers(), 0u);
+  EXPECT_EQ(bucket_count(g, kHub), 1u);
+  EXPECT_EQ(bucket_count(g, kFull), 1u);
+
+  // Six more keys take the hub past the threshold: this batch rebuilds it.
+  // Re-inserting kFull's keys adds nothing new, so kFull stays as it is.
+  batch = fan_out(kHub, 1000 + limit - 5, 6, 2);
+  batch.insert(batch.end(), full.begin(), full.end());
+  insert(batch);
+  EXPECT_EQ(g.auto_rehash_triggers(), 1u);
+  EXPECT_GT(bucket_count(g, kHub), 1u);
+  EXPECT_EQ(bucket_count(g, kFull), 1u);
+  const std::vector<std::uint32_t> buckets = bucket_counts(g);
+
+  // From here on only erases, queries, gathers and age scans: none may
+  // rebuild a table.
+  std::vector<Edge> doomed;
+  for (std::uint32_t k = 0; k < limit; k += 3) {
+    doomed.push_back({kFull, 2000 + k});
+  }
+  EXPECT_EQ(g.delete_edges(doomed), model.erase(doomed));
+  std::vector<Edge> queries;
+  for (std::uint32_t k = 0; k < limit + 10; ++k) {
+    queries.push_back({kHub, 1000 + k});
+    queries.push_back({kFull, 2000 + k});
+  }
+  std::vector<std::uint8_t> found(queries.size());
+  g.edges_exist(queries, found.data());
+  EXPECT_EQ(found, model.exist(queries));
+  std::vector<VertexId> all(g.vertex_capacity());
+  for (VertexId u = 0; u < all.size(); ++u) all[u] = u;
+  const GatherResult gathered = g.gather_neighbors(all);
+  EXPECT_EQ(gathered.neighbors.size(), model.num_edges());
+  if constexpr (Policy::kHasValues) {
+    // Ages out every edge stamped below 2: the first batch's fan-outs and
+    // part of the noise.
+    EXPECT_EQ(g.delete_edges_older_than(2), model.age_out(2));
+  }
+  expect_matches_model(g, model);
+  EXPECT_EQ(g.auto_rehash_triggers(), 1u);
+  EXPECT_EQ(bucket_counts(g), buckets);
+
+  // The batch that crossed left nothing for the manual sweep to find.
+  EXPECT_EQ(g.rehash_long_chains(4.0), 0u);
+  expect_matches_model(g, model);
+}
+
+TEST(AutoRehashModel, MapDirected) { run_auto_rehash_model<MapPolicy>(false); }
+TEST(AutoRehashModel, MapUndirected) { run_auto_rehash_model<MapPolicy>(true); }
+TEST(AutoRehashModel, SetDirected) { run_auto_rehash_model<SetPolicy>(false); }
+TEST(AutoRehashModel, SetUndirected) { run_auto_rehash_model<SetPolicy>(true); }
 
 }  // namespace
 }  // namespace sg::core

@@ -116,24 +116,20 @@ TEST_F(SlabMapTest, ScanBelowMatchesForEachFilteredByValue) {
   for (std::uint32_t k = 0; k < 400; k += 5) map.erase(k);
   ASSERT_GT(map.occupancy().overflow_slabs, 0u);
   ASSERT_GT(map.occupancy().tombstones, 0u);
-  std::uint32_t gather_depth = 0;
   std::vector<std::uint32_t> all(400);
   const std::uint32_t live =
-      MapOps::gather(arena, map.table(), all.data(), 400, &gather_depth);
+      MapOps::gather(arena, map.table(), all.data(), 400);
   for (const std::uint32_t threshold : {0u, 1u, 370u, 999u, 1000u}) {
     std::multiset<std::uint32_t> expected;
     map.for_each([&](std::uint32_t k, std::uint32_t v) {
       if (v < threshold) expected.insert(k);
     });
     std::vector<std::uint32_t> out(live);
-    std::uint32_t depth = 0;
     const std::uint32_t n =
-        MapOps::scan_below(arena, map.table(), threshold, out.data(), live,
-                           &depth);
+        MapOps::scan_below(arena, map.table(), threshold, out.data(), live);
     EXPECT_EQ(std::multiset<std::uint32_t>(out.begin(), out.begin() + n),
               expected)
         << "threshold " << threshold;
-    EXPECT_EQ(depth, gather_depth);
   }
   // The scan stops at cap even when more keys qualify.
   std::vector<std::uint32_t> small(7, 0xDEADu);
@@ -195,7 +191,7 @@ class SlabFormatTest : public ::testing::Test {
     return Ops::bulk_insert(arena, table.table(), 0, keys.data(),
                             values.data(),
                             static_cast<std::uint32_t>(keys.size()), 0,
-                            nullptr, status);
+                            status);
   }
   std::uint32_t bulk_insert(const Table& table,
                             std::vector<std::uint32_t> keys) {

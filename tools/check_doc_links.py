@@ -7,6 +7,10 @@ fails (exit 1) when a relative target does not exist on disk. External
 (http/https/mailto) targets and pure #anchors are skipped; a `path#anchor`
 target is checked for the path part only.
 
+When docs/CONFIG.md is among the checked files, its GraphConfig table is
+also checked against `struct GraphConfig` in src/core/types.hpp: every
+field needs a row, and every row must name a field that exists.
+
 Usage:
     python3 tools/check_doc_links.py README.md docs [more files or dirs...]
 """
@@ -52,6 +56,51 @@ def check_file(md_path, repo_root):
     return errors
 
 
+_CONFIG_DOC = os.path.join("docs", "CONFIG.md")
+_CONFIG_SRC = os.path.join("src", "core", "types.hpp")
+# One member declaration per line: `type name = default;` or `type name;`.
+_FIELD = re.compile(r"^\s*[A-Za-z_][\w:<>(), ]*\s([a-z_][a-z0-9_]*)\s*(=[^;]*)?;\s*$")
+_ROW = re.compile(r"^\|\s*`([a-z_][a-z0-9_]*)`\s*\|")
+
+
+def struct_fields(header_text, struct_name):
+    """Member names of `struct <struct_name> { ... };`, in order."""
+    start = header_text.index(f"struct {struct_name} {{")
+    end = header_text.index("\n};", start)
+    fields = []
+    for line in header_text[start:end].splitlines()[1:]:
+        match = _FIELD.match(line.split("//", 1)[0])
+        if match:
+            fields.append(match.group(1))
+    return fields
+
+
+def table_rows(markdown_text, heading):
+    """First-column `names` of the table under `## <heading>`."""
+    rows = []
+    in_section = False
+    for line in markdown_text.splitlines():
+        if line.startswith("## "):
+            in_section = line[3:].strip() == heading
+            continue
+        match = _ROW.match(line) if in_section else None
+        if match:
+            rows.append(match.group(1))
+    return rows
+
+
+def check_config_table(repo_root):
+    with open(os.path.join(repo_root, _CONFIG_SRC), encoding="utf-8") as f:
+        fields = struct_fields(f.read(), "GraphConfig")
+    with open(os.path.join(repo_root, _CONFIG_DOC), encoding="utf-8") as f:
+        rows = table_rows(f.read(), "GraphConfig")
+    errors = [f"{_CONFIG_DOC}: no GraphConfig row for field `{name}`"
+              for name in fields if name not in rows]
+    errors += [f"{_CONFIG_DOC}: GraphConfig row `{name}` names no field "
+               f"of {_CONFIG_SRC}" for name in rows if name not in fields]
+    return errors
+
+
 def main(argv):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     files = []
@@ -65,6 +114,8 @@ def main(argv):
     errors = []
     for md in files:
         errors.extend(check_file(md, repo_root))
+        if os.path.abspath(md) == os.path.join(repo_root, _CONFIG_DOC):
+            errors.extend(check_config_table(repo_root))
     for err in errors:
         print(err, file=sys.stderr)
     print(f"checked {len(files)} file(s): "
