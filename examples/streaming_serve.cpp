@@ -14,7 +14,7 @@
 //                      checks the tier-wide edge count is a whole number
 //                      of committed batches.
 //
-// Every submission goes through the ShardConductor's single admission
+// Every submission goes through the ShardedGraph's single admission
 // point, so the mix is safe without any caller-side lock — the scenario
 // docs/WORKLOADS.md "Mixed serve" prescribes, at tier scale. The closing
 // report shows aggregate throughput, the router's per-shard load split,

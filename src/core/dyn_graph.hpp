@@ -419,7 +419,7 @@ class DynGraph {
   /// mutation-kind, alone (never coalesced), INLINE ON THE CONDUCTOR
   /// THREAD, owning an exclusive write window over this graph. That
   /// inline guarantee is what the sharding tier's cross-shard fence is
-  /// built on (src/shard/shard_conductor.hpp): a barrier closure
+  /// built on (src/shard/tier_fence.hpp): a barrier closure
   /// submitted here may block waiting for its siblings on OTHER graphs'
   /// conductors without ever occupying a ThreadPool worker, so N parked
   /// fences cannot starve the pool that must finish the phases in front

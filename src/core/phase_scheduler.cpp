@@ -3,6 +3,7 @@
 #include <chrono>
 #include <iterator>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "src/simt/thread_pool.hpp"
@@ -14,6 +15,24 @@ namespace sg::core {
 namespace {
 std::exception_ptr rejection(RejectReason reason) {
   return std::make_exception_ptr(SubmitRejected(reason));
+}
+
+/// Applies one same-op group of mutation submissions as ONE engine batch:
+/// a lone submission applies in place, a longer group is concatenated in
+/// submission order first.
+template <typename Submission, typename T, typename Apply>
+std::uint64_t apply_merged(std::span<Submission> group,
+                           std::vector<T> Submission::*items,
+                           const Apply& apply) {
+  if (group.size() == 1) return apply(group[0].*items);
+  std::size_t total = 0;
+  for (const Submission& s : group) total += (s.*items).size();
+  std::vector<T> merged;
+  merged.reserve(total);
+  for (const Submission& s : group) {
+    merged.insert(merged.end(), (s.*items).begin(), (s.*items).end());
+  }
+  return apply(merged);
 }
 }  // namespace
 
@@ -62,17 +81,19 @@ std::uint64_t PhaseScheduler::submission_items(const Submission& s) {
   return s.inserts.size() + s.edges.size();
 }
 
-void PhaseScheduler::reject_submission(Submission& s, RejectReason reason) {
-  const std::exception_ptr err = rejection(reason);
-  if (s.kind == Kind::kMutation) {
-    s.mutation_result.set_exception(err);
-  } else if (s.kind == Kind::kAnalytics) {
-    s.analytics_result.set_exception(err);
-  } else if (s.weighted) {
-    s.weight_result.set_exception(err);
-  } else {
-    s.exist_result.set_exception(err);
-  }
+void PhaseScheduler::fail(Submission& s, std::exception_ptr error) noexcept {
+  std::visit(
+      [&error](auto& promise) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(promise)>,
+                                      std::monostate>) {
+          try {
+            promise.set_exception(error);
+          } catch (const std::future_error&) {
+            // Already satisfied before the failure: keep its real result.
+          }
+        }
+      },
+      s.result);
 }
 
 bool PhaseScheduler::fits_locked(std::uint64_t items) const {
@@ -96,7 +117,7 @@ bool PhaseScheduler::admit_locked(std::unique_lock<std::mutex>& lock,
     switch (limits_.backpressure) {
       case BackpressurePolicy::kReject:
         ++stats_.rejected_submissions;
-        reject_submission(s, RejectReason::kQueueFull);
+        fail(s, rejection(RejectReason::kQueueFull));
         return false;
       case BackpressurePolicy::kShedOldestQueries: {
         // Evict the oldest pending QUERIES until the newcomer fits.
@@ -111,7 +132,7 @@ bool PhaseScheduler::admit_locked(std::unique_lock<std::mutex>& lock,
           }
           pending_edges_ -= submission_items(*it);
           ++stats_.shed_queries;
-          reject_submission(*it, RejectReason::kShed);
+          fail(*it, rejection(RejectReason::kShed));
           it = queue_.erase(it);
           shed_any = true;
         }
@@ -119,7 +140,7 @@ bool PhaseScheduler::admit_locked(std::unique_lock<std::mutex>& lock,
         if (!fits_locked(items)) {
           // Nothing sheddable left (the queue is all mutations).
           ++stats_.rejected_submissions;
-          reject_submission(s, RejectReason::kQueueFull);
+          fail(s, rejection(RejectReason::kQueueFull));
           return false;
         }
         break;
@@ -142,12 +163,12 @@ bool PhaseScheduler::admit_locked(std::unique_lock<std::mutex>& lock,
                 .count());
         if (stop_) {
           ++stats_.rejected_submissions;
-          reject_submission(s, RejectReason::kShutdown);
+          fail(s, rejection(RejectReason::kShutdown));
           return false;
         }
         if (!woke) {
           ++stats_.rejected_submissions;
-          reject_submission(s, RejectReason::kTimeout);
+          fail(s, rejection(RejectReason::kTimeout));
           return false;
         }
         break;
@@ -191,15 +212,32 @@ void PhaseScheduler::enqueue(Submission&& s) {
   cv_submit_.notify_one();
 }
 
+template <typename R>
+std::future<R> PhaseScheduler::submit(Submission s) {
+  std::future<R> f = s.result.emplace<std::promise<R>>().get_future();
+  enqueue(std::move(s));
+  return f;
+}
+
+PhaseScheduler::Submission PhaseScheduler::query(std::vector<Edge> queries,
+                                                 std::uint32_t deadline_ms) {
+  Submission s;
+  s.kind = Kind::kQuery;
+  if (deadline_ms != 0) {
+    s.has_deadline = true;
+    s.deadline = std::chrono::steady_clock::now() +
+                 std::chrono::milliseconds(deadline_ms);
+  }
+  s.edges = std::move(queries);
+  return s;
+}
+
 std::future<std::uint64_t> PhaseScheduler::submit_insert(
     std::vector<WeightedEdge> edges) {
   Submission s;
   s.kind = Kind::kMutation;
-  s.erase = false;
   s.inserts = std::move(edges);
-  std::future<std::uint64_t> f = s.mutation_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<std::uint64_t>(std::move(s));
 }
 
 std::future<std::uint64_t> PhaseScheduler::submit_erase(
@@ -208,25 +246,13 @@ std::future<std::uint64_t> PhaseScheduler::submit_erase(
   s.kind = Kind::kMutation;
   s.erase = true;
   s.edges = std::move(edges);
-  std::future<std::uint64_t> f = s.mutation_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<std::uint64_t>(std::move(s));
 }
 
 std::future<std::vector<std::uint8_t>> PhaseScheduler::submit_edges_exist(
     std::vector<Edge> queries, std::uint32_t deadline_ms) {
-  Submission s;
-  s.kind = Kind::kQuery;
-  s.weighted = false;
-  if (deadline_ms != 0) {
-    s.has_deadline = true;
-    s.deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(deadline_ms);
-  }
-  s.edges = std::move(queries);
-  std::future<std::vector<std::uint8_t>> f = s.exist_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<std::vector<std::uint8_t>>(
+      query(std::move(queries), deadline_ms));
 }
 
 std::future<EdgeWeightBatch> PhaseScheduler::submit_edge_weights(
@@ -235,27 +261,14 @@ std::future<EdgeWeightBatch> PhaseScheduler::submit_edge_weights(
     throw std::logic_error(
         "PhaseScheduler: this graph has no edge_weights operation");
   }
-  Submission s;
-  s.kind = Kind::kQuery;
-  s.weighted = true;
-  if (deadline_ms != 0) {
-    s.has_deadline = true;
-    s.deadline = std::chrono::steady_clock::now() +
-                 std::chrono::milliseconds(deadline_ms);
-  }
-  s.edges = std::move(queries);
-  std::future<EdgeWeightBatch> f = s.weight_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<EdgeWeightBatch>(query(std::move(queries), deadline_ms));
 }
 
 std::future<void> PhaseScheduler::submit_analytics(std::function<void()> task) {
   Submission s;
   s.kind = Kind::kAnalytics;
   s.task = std::move(task);
-  std::future<void> f = s.analytics_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<void>(std::move(s));
 }
 
 std::future<void> PhaseScheduler::submit_snapshot(std::function<void()> task) {
@@ -263,9 +276,7 @@ std::future<void> PhaseScheduler::submit_snapshot(std::function<void()> task) {
   s.kind = Kind::kAnalytics;  // a snapshot is a fenced read of the structure
   s.snapshot = true;
   s.task = std::move(task);
-  std::future<void> f = s.analytics_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<void>(std::move(s));
 }
 
 std::future<std::uint64_t> PhaseScheduler::submit_maintenance(
@@ -273,9 +284,7 @@ std::future<std::uint64_t> PhaseScheduler::submit_maintenance(
   Submission s;
   s.kind = Kind::kMutation;  // it writes: it must own the write window
   s.maintenance = std::move(task);
-  std::future<std::uint64_t> f = s.mutation_result.get_future();
-  enqueue(std::move(s));
-  return f;
+  return submit<std::uint64_t>(std::move(s));
 }
 
 void PhaseScheduler::drain() {
@@ -301,7 +310,8 @@ void PhaseScheduler::conductor_loop() {
       pending_edges_ = 0;
       stats_.rejected_submissions += doomed.size();
       lock.unlock();
-      fail_batch(doomed, rejection(RejectReason::kShutdown));
+      const std::exception_ptr shutdown = rejection(RejectReason::kShutdown);
+      for (Submission& s : doomed) fail(s, shutdown);
       lock.lock();
       cv_drained_.notify_all();
       return;
@@ -335,7 +345,7 @@ void PhaseScheduler::conductor_loop() {
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (batch[i].has_deadline && batch[i].deadline <= now) {
           ++stats_.expired_queries;
-          reject_submission(batch[i], RejectReason::kDeadlineExpired);
+          fail(batch[i], rejection(RejectReason::kDeadlineExpired));
         } else {
           if (kept != i) batch[kept] = std::move(batch[i]);
           ++kept;
@@ -364,39 +374,20 @@ void PhaseScheduler::conductor_loop() {
     SG_FAULT_DELAY(kConductorPhase);
     double fence_seconds = 0.0;
     try {
-      fence_seconds = kind == Kind::kMutation    ? run_mutation_phase(batch)
-                      : kind == Kind::kAnalytics ? run_analytics_phase(batch)
-                                                 : run_query_phase(batch);
+      fence_seconds = kind == Kind::kMutation ? run_mutation_phase(batch)
+                                              : run_concurrent_phase(batch);
     } catch (...) {
       // The phase runners route per-submission errors to the futures; what
       // lands here is infrastructure failure (e.g. bad_alloc submitting a
       // job). The conductor must survive it — fail the batch's unresolved
       // promises instead of escaping the thread into std::terminate.
-      fail_batch(batch, std::current_exception());
+      const std::exception_ptr error = std::current_exception();
+      for (Submission& s : batch) fail(s, error);
     }
     lock.lock();
     stats_.fence_wait_seconds += fence_seconds;
     phase_open_ = false;
     cv_drained_.notify_all();
-  }
-}
-
-void PhaseScheduler::fail_batch(std::vector<Submission>& batch,
-                                std::exception_ptr error) {
-  for (Submission& s : batch) {
-    try {
-      if (s.kind == Kind::kMutation) {
-        s.mutation_result.set_exception(error);
-      } else if (s.kind == Kind::kAnalytics) {
-        s.analytics_result.set_exception(error);
-      } else if (s.weighted) {
-        s.weight_result.set_exception(error);
-      } else {
-        s.exist_result.set_exception(error);
-      }
-    } catch (const std::future_error&) {
-      // Already satisfied before the failure: keep its real result.
-    }
   }
 }
 
@@ -420,49 +411,21 @@ double PhaseScheduler::run_mutation_phase(std::vector<Submission>& batch) {
       }
     }
     try {
-      std::uint64_t applied = 0;
-      if (batch[i].maintenance) {
-        applied = batch[i].maintenance();
-      } else if (batch[i].erase) {
-        if (j - i == 1) {
-          applied = ops_.delete_edges(batch[i].edges);
-        } else {
-          std::vector<Edge> merged;
-          std::size_t total = 0;
-          for (std::size_t k = i; k < j; ++k) total += batch[k].edges.size();
-          merged.reserve(total);
-          for (std::size_t k = i; k < j; ++k) {
-            merged.insert(merged.end(), batch[k].edges.begin(),
-                          batch[k].edges.end());
-          }
-          applied = ops_.delete_edges(merged);
-        }
-      } else {
-        if (j - i == 1) {
-          applied = ops_.insert_edges(batch[i].inserts);
-        } else {
-          std::vector<WeightedEdge> merged;
-          std::size_t total = 0;
-          for (std::size_t k = i; k < j; ++k) total += batch[k].inserts.size();
-          merged.reserve(total);
-          for (std::size_t k = i; k < j; ++k) {
-            merged.insert(merged.end(), batch[k].inserts.begin(),
-                          batch[k].inserts.end());
-          }
-          applied = ops_.insert_edges(merged);
-        }
-      }
+      const std::span<Submission> group(batch.data() + i, j - i);
+      const std::uint64_t applied =
+          batch[i].maintenance ? batch[i].maintenance()
+          : batch[i].erase
+              ? apply_merged(group, &Submission::edges, ops_.delete_edges)
+              : apply_merged(group, &Submission::inserts, ops_.insert_edges);
       // Every member of the group observes the group total (documented in
       // submit_insert): per-submission counts are not separable once the
       // group applied as one deduped batch.
       for (std::size_t k = i; k < j; ++k) {
-        batch[k].mutation_result.set_value(applied);
+        batch[k].promise<std::uint64_t>().set_value(applied);
       }
     } catch (...) {
       const std::exception_ptr err = std::current_exception();
-      for (std::size_t k = i; k < j; ++k) {
-        batch[k].mutation_result.set_exception(err);
-      }
+      for (std::size_t k = i; k < j; ++k) fail(batch[k], err);
     }
     i = j;
   }
@@ -472,74 +435,20 @@ double PhaseScheduler::run_mutation_phase(std::vector<Submission>& batch) {
   return 0.0;
 }
 
-double PhaseScheduler::run_query_phase(std::vector<Submission>& batch) {
-  // Every admitted query batch runs as its own pool job, concurrently with
-  // the others (query batches are phase-concurrent by design; each batch
-  // is internally pipelined as usual). The wait_all is the phase fence: the
-  // next phase cannot open until every search of this one has completed.
-  auto& pool = simt::ThreadPool::instance();
-  std::vector<simt::ThreadPool::JobHandle> jobs;
-  jobs.reserve(batch.size());
-  const auto submit_one = [this, &pool, &jobs](Submission& s) {
-    jobs.push_back(pool.submit(1, [this, &s](std::uint64_t) {
-      if (s.weighted) {
-        try {
-          EdgeWeightBatch result;
-          result.weights.assign(s.edges.size(), Weight{0});
-          result.found.assign(s.edges.size(), 0);
-          ops_.edge_weights(s.edges, result.weights.data(),
-                            result.found.data());
-          s.weight_result.set_value(std::move(result));
-        } catch (...) {
-          s.weight_result.set_exception(std::current_exception());
-        }
-      } else {
-        try {
-          std::vector<std::uint8_t> out(s.edges.size(), 0);
-          ops_.edges_exist(s.edges, out.data());
-          s.exist_result.set_value(std::move(out));
-        } catch (...) {
-          s.exist_result.set_exception(std::current_exception());
-        }
-      }
-    }));
-  };
-  try {
-    for (Submission& s : batch) submit_one(s);
-  } catch (...) {
-    // A failed submit (allocation) must not unwind past jobs already in
-    // flight — they reference `batch`. Wait them out, then let the
-    // conductor fail the unresolved promises.
-    try {
-      pool.wait_all(jobs);
-    } catch (...) {
-    }
-    throw;
-  }
-  util::Timer fence_timer;
-  pool.wait_all(jobs);  // the query->next-phase fence
-  return fence_timer.seconds();
-}
-
-double PhaseScheduler::run_analytics_phase(std::vector<Submission>& batch) {
-  // Analytics tasks admitted into one phase run concurrently as pool jobs,
-  // exactly like query batches: they traverse the graph read-only against
-  // a phase-consistent state (no mutation phase can open until the fence
-  // below closes), so concurrent tasks are safe by the same argument as
-  // concurrent query batches.
+double PhaseScheduler::run_concurrent_phase(std::vector<Submission>& batch) {
+  // Every admitted query batch or analytics task runs as its own pool job,
+  // concurrently with the others: both only read the graph, against a
+  // phase-consistent state (no mutation phase can open until the fence
+  // below closes), and each query batch is internally pipelined as usual.
+  // The wait_all is the phase fence: the next phase cannot open until
+  // every job of this one has completed.
   auto& pool = simt::ThreadPool::instance();
   std::vector<simt::ThreadPool::JobHandle> jobs;
   jobs.reserve(batch.size());
   try {
     for (Submission& s : batch) {
-      jobs.push_back(pool.submit(1, [&s](std::uint64_t) {
-        try {
-          s.task();
-          s.analytics_result.set_value();
-        } catch (...) {
-          s.analytics_result.set_exception(std::current_exception());
-        }
-      }));
+      jobs.push_back(
+          pool.submit(1, [this, &s](std::uint64_t) { run_concurrent(s); }));
     }
   } catch (...) {
     // A failed submit (allocation) must not unwind past jobs already in
@@ -552,8 +461,30 @@ double PhaseScheduler::run_analytics_phase(std::vector<Submission>& batch) {
     throw;
   }
   util::Timer fence_timer;
-  pool.wait_all(jobs);  // the analytics->next-phase fence
+  pool.wait_all(jobs);  // the phase fence
   return fence_timer.seconds();
+}
+
+void PhaseScheduler::run_concurrent(Submission& s) {
+  try {
+    if (s.kind == Kind::kAnalytics) {
+      s.task();
+      s.promise<void>().set_value();
+    } else if (std::holds_alternative<std::promise<EdgeWeightBatch>>(
+                   s.result)) {
+      EdgeWeightBatch result;
+      result.weights.assign(s.edges.size(), Weight{0});
+      result.found.assign(s.edges.size(), 0);
+      ops_.edge_weights(s.edges, result.weights.data(), result.found.data());
+      s.promise<EdgeWeightBatch>().set_value(std::move(result));
+    } else {
+      std::vector<std::uint8_t> out(s.edges.size(), 0);
+      ops_.edges_exist(s.edges, out.data());
+      s.promise<std::vector<std::uint8_t>>().set_value(std::move(out));
+    }
+  } catch (...) {
+    fail(s, std::current_exception());
+  }
 }
 
 }  // namespace sg::core

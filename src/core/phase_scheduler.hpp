@@ -73,6 +73,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/core/errors.hpp"
@@ -237,7 +238,6 @@ class PhaseScheduler {
   struct Submission {
     Kind kind = Kind::kMutation;
     bool erase = false;     ///< mutations: erase vs insert
-    bool weighted = false;  ///< queries: edge_weights vs edges_exist
     bool snapshot = false;  ///< analytics: snapshot task (stats only)
     bool has_deadline = false;  ///< queries: reject if admitted past deadline
     std::chrono::steady_clock::time_point deadline;
@@ -247,17 +247,35 @@ class PhaseScheduler {
     /// Mutation-kind maintenance payload (aged erase, compaction); when
     /// set, the submission runs alone instead of coalescing.
     std::function<std::uint64_t()> maintenance;
-    std::promise<std::uint64_t> mutation_result;
-    std::promise<std::vector<std::uint8_t>> exist_result;
-    std::promise<EdgeWeightBatch> weight_result;
-    std::promise<void> analytics_result;
+    /// The submission's result promise, by shape: mutation count, exist
+    /// flags, weights (an edge_weights query), analytics completion.
+    std::variant<std::monostate, std::promise<std::uint64_t>,
+                 std::promise<std::vector<std::uint8_t>>,
+                 std::promise<EdgeWeightBatch>, std::promise<void>>
+        result;
+
+    template <typename R>
+    std::promise<R>& promise() {
+      return std::get<std::promise<R>>(result);
+    }
   };
 
+  /// Gives `s` a fresh result promise of type R, queues it, and returns
+  /// the promise's future.
+  template <typename R>
+  std::future<R> submit(Submission s);
   void enqueue(Submission&& s);
+  /// A query submission over `queries`, with its deadline set.
+  static Submission query(std::vector<Edge> queries, std::uint32_t deadline_ms);
   /// Items (edges or probes) a submission would add to the pending queue.
   static std::uint64_t submission_items(const Submission& s);
-  /// Resolves the submission's future to SubmitRejected{reason}.
-  static void reject_submission(Submission& s, RejectReason reason);
+  /// Resolves the submission's future to `error` unless it was already
+  /// satisfied — the one failure dispatch of rejections, per-submission
+  /// errors and the conductor's last line of defense against a phase
+  /// runner throwing outside the per-submission try blocks
+  /// (infrastructure failure, e.g. bad_alloc): pending futures must
+  /// resolve, and the conductor thread must survive.
+  static void fail(Submission& s, std::exception_ptr error) noexcept;
   /// True iff a submission of `items` items fits under limits_ right now.
   /// An empty queue always admits: a single submission larger than
   /// max_pending_edges must not wedge forever.
@@ -273,15 +291,11 @@ class PhaseScheduler {
   /// outstanding tasks before it could close (0 for mutation phases, which
   /// run inline on the conductor).
   double run_mutation_phase(std::vector<Submission>& batch);
-  double run_query_phase(std::vector<Submission>& batch);
-  double run_analytics_phase(std::vector<Submission>& batch);
-  /// Fails every promise of `batch` not already satisfied with `error` —
-  /// the conductor's last line of defense when a phase runner throws
-  /// outside the per-submission try blocks (infrastructure failure, e.g.
-  /// bad_alloc): pending futures must resolve, and the conductor thread
-  /// must survive.
-  static void fail_batch(std::vector<Submission>& batch,
-                         std::exception_ptr error);
+  /// Query and analytics phases: every admitted submission runs as its
+  /// own pool job, concurrently with the others.
+  double run_concurrent_phase(std::vector<Submission>& batch);
+  /// Runs one query or analytics submission and resolves its future.
+  void run_concurrent(Submission& s);
 
   Ops ops_;
   Limits limits_;

@@ -1,5 +1,7 @@
 #include "src/shard/batch_router.hpp"
 
+#include <utility>
+
 namespace sg::shard {
 
 namespace {
@@ -21,43 +23,40 @@ std::uint64_t carve(std::vector<std::uint64_t>& counts, RoutedBatch<T>& out) {
   return total;
 }
 
-}  // namespace
-
-RoutedBatch<core::WeightedEdge> route_inserts(
-    std::span<const core::WeightedEdge> edges, std::uint32_t shards,
-    bool mirror) {
-  RoutedBatch<core::WeightedEdge> out;
+/// The one mutation routing body: the mirror is the edge with its
+/// endpoints swapped, so an insert's mirror keeps its weight.
+template <typename T>
+RoutedBatch<T> route_mutations(std::span<const T> edges, std::uint32_t shards,
+                               bool mirror) {
+  RoutedBatch<T> out;
   std::vector<std::uint64_t> counts(shards, 0);
-  for (const core::WeightedEdge& e : edges) {
+  for (const T& e : edges) {
     ++counts[owner_of(e.src, shards)];
     if (mirror && e.src != e.dst) ++counts[owner_of(e.dst, shards)];
   }
   out.items.resize(carve(counts, out));
-  for (const core::WeightedEdge& e : edges) {
+  for (const T& e : edges) {
     out.items[counts[owner_of(e.src, shards)]++] = e;
     if (mirror && e.src != e.dst) {
-      out.items[counts[owner_of(e.dst, shards)]++] = {e.dst, e.src, e.weight};
+      T& m = out.items[counts[owner_of(e.dst, shards)]++];
+      m = e;
+      std::swap(m.src, m.dst);
     }
   }
   return out;
 }
 
+}  // namespace
+
+RoutedBatch<core::WeightedEdge> route_inserts(
+    std::span<const core::WeightedEdge> edges, std::uint32_t shards,
+    bool mirror) {
+  return route_mutations(edges, shards, mirror);
+}
+
 RoutedBatch<core::Edge> route_erases(std::span<const core::Edge> edges,
                                      std::uint32_t shards, bool mirror) {
-  RoutedBatch<core::Edge> out;
-  std::vector<std::uint64_t> counts(shards, 0);
-  for (const core::Edge& e : edges) {
-    ++counts[owner_of(e.src, shards)];
-    if (mirror && e.src != e.dst) ++counts[owner_of(e.dst, shards)];
-  }
-  out.items.resize(carve(counts, out));
-  for (const core::Edge& e : edges) {
-    out.items[counts[owner_of(e.src, shards)]++] = e;
-    if (mirror && e.src != e.dst) {
-      out.items[counts[owner_of(e.dst, shards)]++] = {e.dst, e.src};
-    }
-  }
-  return out;
+  return route_mutations(edges, shards, mirror);
 }
 
 RoutedBatch<core::Edge> route_queries(std::span<const core::Edge> queries,

@@ -87,8 +87,8 @@ RoutedBatch<core::WeightedEdge> route_inserts(
     std::span<const core::WeightedEdge> edges, std::uint32_t shards,
     bool mirror);
 
-/// Splits an erase batch; `mirror` emits the reverse orientation so an
-/// undirected tier retires both stored directions.
+/// Splits an erase batch through the same routing body; `mirror` emits
+/// (dst, src) so an undirected tier retires both stored directions.
 RoutedBatch<core::Edge> route_erases(std::span<const core::Edge> edges,
                                      std::uint32_t shards, bool mirror);
 

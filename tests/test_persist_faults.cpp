@@ -118,7 +118,7 @@ struct DisarmGuard {
 /// non-empty, periodic snapshot ops are interleaved (victim only — the
 /// oracle never snapshots, and the mutation subsequence is identical).
 template <class Policy>
-std::vector<std::function<void(DynGraph<Policy>&)>> make_ops(
+std::vector<std::function<void(DynGraph<Policy>&)>> make_op_script(
     std::uint64_t seed, const std::string& snap) {
   std::vector<std::function<void(DynGraph<Policy>&)>> ops;
   for (int r = 0; r < 10; ++r) {
@@ -173,7 +173,7 @@ void kill_point_case(const KillPoint& kp, std::uint64_t seed) {
   spec.fire_after = 1 + rng.below(kp.max_fire);
   spec.torn_permille = kp.torn_permille;
 
-  const auto ops = make_ops<Policy>(seed, snap);
+  const auto ops = make_op_script<Policy>(seed, snap);
   int crashed_at = -1;
   {
     DynGraph<Policy> victim(cfg);
@@ -205,7 +205,7 @@ void kill_point_case(const KillPoint& kp, std::uint64_t seed) {
 
   GraphConfig oracle_cfg;  // no journal, no snapshots, never crashes
   DynGraph<Policy> oracle(oracle_cfg);
-  for (const auto& op : make_ops<Policy>(seed, "")) op(oracle);
+  for (const auto& op : make_op_script<Policy>(seed, "")) op(oracle);
   expect_identical(oracle, *rec.graph);
 }
 

@@ -2,8 +2,9 @@
 // (src/shard/): ShardedGraph against the reference model across
 // shard counts 1/2/4/8, map and set variants, directed and undirected,
 // on uniform-random and power-law-skewed batches — plus the TSan-raced
-// multi-submitter tests that pin the multi-graph conductor's
-// epoch-consistent cross-shard analytics and its shutdown semantics.
+// multi-submitter tests that pin the scheduled tier's epoch-consistent
+// cross-shard analytics, its shutdown semantics, and how it folds a
+// shard's backpressure refusal into the tier result.
 //
 // The model equivalence is structural: a tier and the model fed the same
 // client batches must hold the SAME edge multiset (the tier's union of
@@ -15,14 +16,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <filesystem>
 #include <future>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/errors.hpp"
@@ -122,15 +122,26 @@ std::vector<WeightedEdge> power_law_batch(std::uint64_t seed,
 
 // ---- routing layer ---------------------------------------------------------
 
-TEST(BatchRouter, SplitsPreserveEveryItemAndInputOrderPerShard) {
-  const auto batch = random_batch(7, 4096, kVertices);
+/// Routes `batch` through the mutation router: as inserts, or as erases.
+template <typename T>
+RoutedBatch<T> route_mutation(const std::vector<T>& batch,
+                              std::uint32_t shards, bool mirror) {
+  if constexpr (std::is_same_v<T, WeightedEdge>) {
+    return route_inserts(batch, shards, mirror);
+  } else {
+    return route_erases(batch, shards, mirror);
+  }
+}
+
+template <typename T>
+void expect_split_preserves_order(const std::vector<T>& batch) {
   for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    const auto routed = route_inserts(batch, shards, /*mirror=*/false);
+    const auto routed = route_mutation(batch, shards, /*mirror=*/false);
     ASSERT_EQ(routed.items.size(), batch.size());
     ASSERT_EQ(routed.offsets.size(), shards + 1);
     // Every item landed on its owner, in input order within the shard.
     std::size_t cursor = 0;
-    std::vector<std::vector<WeightedEdge>> expected(shards);
+    std::vector<std::vector<T>> expected(shards);
     for (const auto& e : batch) expected[owner_of(e.src, shards)].push_back(e);
     for (std::uint32_t s = 0; s < shards; ++s) {
       const auto sub = routed.shard_span(s);
@@ -144,16 +155,44 @@ TEST(BatchRouter, SplitsPreserveEveryItemAndInputOrderPerShard) {
   }
 }
 
+TEST(BatchRouter, SplitsPreserveEveryItemAndInputOrderPerShard) {
+  const auto batch = random_batch(7, 4096, kVertices);
+  expect_split_preserves_order(batch);
+  expect_split_preserves_order(strip(batch));
+}
+
+/// The routed items as (src, dst, weight) triples (weight 0 for erases),
+/// checking on the way that every item sits on its source's owner.
+template <typename T>
+std::multiset<std::tuple<VertexId, VertexId, Weight>> routed_triples(
+    const RoutedBatch<T>& routed) {
+  std::multiset<std::tuple<VertexId, VertexId, Weight>> out;
+  for (std::uint32_t s = 0; s < routed.shards(); ++s) {
+    for (const T& e : routed.shard_span(s)) {
+      EXPECT_EQ(owner_of(e.src, routed.shards()), s);
+      Weight w = 0;
+      if constexpr (std::is_same_v<T, WeightedEdge>) w = e.weight;
+      out.insert({e.src, e.dst, w});
+    }
+  }
+  return out;
+}
+
 TEST(BatchRouter, MirrorEmitsBothOrientationsExceptSelfLoops) {
   std::vector<WeightedEdge> batch = {{1, 2, 10}, {3, 3, 11}, {2, 1, 12}};
-  const auto routed = route_inserts(batch, 4, /*mirror=*/true);
-  // 2 mirrored + 1 self-loop unmirrored = 5 emissions.
-  ASSERT_EQ(routed.items.size(), 5u);
-  std::multiset<std::tuple<VertexId, VertexId, Weight>> seen;
-  for (const auto& e : routed.items) seen.insert({e.src, e.dst, e.weight});
+  // 2 mirrored + 1 self-loop unmirrored = 5 emissions; an insert's mirror
+  // keeps its weight.
+  const auto inserts = route_inserts(batch, 4, /*mirror=*/true);
+  ASSERT_EQ(inserts.items.size(), 5u);
   const std::multiset<std::tuple<VertexId, VertexId, Weight>> expected = {
       {1, 2, 10}, {2, 1, 10}, {3, 3, 11}, {2, 1, 12}, {1, 2, 12}};
-  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(routed_triples(inserts), expected);
+
+  const auto erases = route_erases(strip(batch), 4, /*mirror=*/true);
+  ASSERT_EQ(erases.items.size(), 5u);
+  const std::multiset<std::tuple<VertexId, VertexId, Weight>> expected_pairs =
+      {{1, 2, 0}, {2, 1, 0}, {3, 3, 0}, {2, 1, 0}, {1, 2, 0}};
+  EXPECT_EQ(routed_triples(erases), expected_pairs);
 }
 
 TEST(BatchRouter, QuerySeqNumbersAddressInputPositions) {
@@ -311,7 +350,7 @@ TEST(ShardedDifferential, ScatterGatherAnswersInInputOrder) {
   }
 }
 
-// ---- scheduled path: the multi-graph conductor -----------------------------
+// ---- scheduled path --------------------------------------------------------
 
 TEST(ShardedScheduled, SubmittedBatchesMatchOracleAndCounts) {
   for (bool undirected : {false, true}) {
@@ -583,30 +622,195 @@ TEST(ShardedShutdown, AbandonedFenceAbortsInsteadOfHanging) {
   EXPECT_TRUE(resolved(fence_b));
 }
 
-// ---- durable tier cuts -----------------------------------------------------
+// ---- a shard refusing under backpressure -----------------------------------
 
-class ShardTempDir {
+/// First vertex id owned by shard `s` of a 2-shard tier.
+VertexId owned_by(std::uint32_t s) {
+  for (VertexId v = 0;; ++v) {
+    if (owner_of(v, 2) == s) return v;
+  }
+}
+
+/// A 2-shard tier whose shard 0 admits one pending submission and refuses
+/// the next under `policy` (kBlock after `timeout_ms`). hold() parks shard
+/// 0's conductor on a gated maintenance task and queues a filler insert
+/// behind it, so shard 0 refuses every tier submission until release()
+/// while shard 1 serves normally.
+class RefusingShard0 {
  public:
-  ShardTempDir() {
-    std::string tmpl =
-        (std::filesystem::temp_directory_path() / "sg_shard_XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path_ = tmpl;
+  explicit RefusingShard0(
+      bool undirected,
+      core::BackpressurePolicy policy = core::BackpressurePolicy::kReject,
+      std::uint32_t timeout_ms = 0)
+      : tier_([&] {
+          ShardConfig sc;
+          sc.shard_count = 2;
+          sc.graph = tier_config(undirected);
+          sc.per_shard = [policy, timeout_ms](std::uint32_t s,
+                                              GraphConfig& gc) {
+            if (s != 0) return;
+            gc.max_pending_submissions = 1;
+            gc.backpressure = policy;
+            gc.submit_timeout_ms = timeout_ms;
+          };
+          return sc;
+        }()) {}
+  ~RefusingShard0() { release(); }
+
+  ShardedGraphMap& tier() { return tier_; }
+
+  void hold() {
+    held_ = tier_.shard(0).submit_maintenance([this]() -> std::uint64_t {
+      entered_.store(true, std::memory_order_release);
+      while (!gate_.load(std::memory_order_acquire)) std::this_thread::yield();
+      return 0;
+    });
+    while (!entered_.load(std::memory_order_acquire)) std::this_thread::yield();
+    const VertexId v = owned_by(0);
+    filler_ = tier_.shard(0).submit_insert({{v, v + 1, 1}});
   }
-  ~ShardTempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
+
+  void release() {
+    gate_.store(true, std::memory_order_release);
+    if (held_.valid()) held_.get();
+    if (filler_.valid()) filler_.get();
+    tier_.drain();
   }
-  std::string file(const std::string& name) const { return path_ + "/" + name; }
 
  private:
-  std::string path_;
+  ShardedGraphMap tier_;
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> gate_{false};
+  std::future<std::uint64_t> held_;
+  std::future<std::uint64_t> filler_;
 };
 
+core::RejectReason reject_reason(std::exception_ptr e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const core::SubmitRejected& r) {
+    return r.reason();
+  }
+}
+
+TEST(ShardedRefusal, RefusedFenceCarriesTheShardsReason) {
+  struct Case {
+    core::BackpressurePolicy policy;
+    std::uint32_t timeout_ms;
+    core::RejectReason reason;
+  };
+  for (const Case& c :
+       {Case{core::BackpressurePolicy::kReject, 0,
+             core::RejectReason::kQueueFull},
+        Case{core::BackpressurePolicy::kBlock, 20,
+             core::RejectReason::kTimeout}}) {
+    RefusingShard0 f(false, c.policy, c.timeout_ms);
+    f.hold();
+    std::atomic<bool> ran{false};
+    auto fence = f.tier().submit_analytics([&ran] { ran = true; });
+    std::exception_ptr error;
+    try {
+      fence.get();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    ASSERT_TRUE(error) << "a refused barrier must abort the fence";
+    EXPECT_EQ(reject_reason(error), c.reason);
+    f.release();
+    EXPECT_FALSE(ran.load());
+    const TierStats ts = f.tier().tier_stats();
+    EXPECT_EQ(ts.fences_aborted, 1u);
+    EXPECT_EQ(ts.fences_completed, 0u);
+    // The fence aborted at shard 0: shard 1 was never handed a closure.
+    EXPECT_EQ(ts.per_shard[1].submitted_maintenance, 0u);
+  }
+}
+
+TEST(ShardedRefusal, OneRefusedShardIsExactTierPartialBatchError) {
+  for (bool undirected : {false, true}) {
+    RefusingShard0 f(undirected);
+    f.hold();
+    const auto batch = random_batch(4321, 64, kVertices);
+    const auto routed = route_inserts(batch, 2, undirected);
+    ReferenceGraph sibling;  // shard 1 stores its routed sub-batch as is
+    const std::uint64_t sibling_new = sibling.insert(routed.shard_span(1));
+    std::vector<Edge> refused;
+    for (const WeightedEdge& e : routed.shard_span(0)) {
+      refused.push_back({e.src, e.dst});
+    }
+    ASSERT_FALSE(refused.empty());
+    ASSERT_GT(sibling_new, 0u);
+
+    std::exception_ptr error;
+    try {
+      (void)f.tier().submit_insert(batch).get();
+    } catch (const core::PartialBatchError& e) {
+      EXPECT_EQ(e.applied(), sibling_new);
+      // The refused shard's whole routed sub-batch, in routed order — on
+      // an undirected tier its mirrors appear as their own (dst, src).
+      EXPECT_EQ(e.unapplied(), refused);
+      EXPECT_EQ(reject_reason(e.cause()), core::RejectReason::kQueueFull);
+      error = std::current_exception();
+    }
+    ASSERT_TRUE(error) << "one shard refused while its sibling applied";
+    if (undirected) {
+      std::size_t mirrors = 0;
+      for (const WeightedEdge& e : batch) {
+        if (e.src != e.dst && owner_of(e.src, 2) == 1 &&
+            owner_of(e.dst, 2) == 0) {
+          ++mirrors;
+          EXPECT_NE(std::find(refused.begin(), refused.end(),
+                              Edge{e.dst, e.src}),
+                    refused.end());
+        }
+      }
+      EXPECT_GT(mirrors, 0u);
+    }
+    f.release();
+    EXPECT_EQ(f.tier().shard(1).num_edges(), sibling_new);
+  }
+}
+
+TEST(ShardedRefusal, AllRefusedMutationAndOneRefusedQueryFailWhole) {
+  RefusingShard0 f(false);
+  f.hold();
+  // Every edge is owned by shard 0: nothing applies anywhere, so the
+  // refusal surfaces unchanged instead of as a PartialBatchError.
+  std::vector<WeightedEdge> mine;
+  for (VertexId v = 0; mine.size() < 16; ++v) {
+    if (owner_of(v, 2) == 0) mine.push_back({v, v + 1, 1});
+  }
+  std::exception_ptr error;
+  try {
+    (void)f.tier().submit_insert(mine).get();
+  } catch (const core::SubmitRejected&) {
+    error = std::current_exception();
+  }
+  ASSERT_TRUE(error);
+  EXPECT_EQ(reject_reason(error), core::RejectReason::kQueueFull);
+
+  // A query touching both shards fails as a whole though shard 1 answered.
+  std::vector<Edge> queries;
+  for (VertexId v = 0; v < 32; ++v) queries.push_back({v, v + 1});
+  const auto routed = route_queries(queries, 2);
+  ASSERT_GT(routed.shard_size(0), 0u);
+  ASSERT_GT(routed.shard_size(1), 0u);
+  error = nullptr;
+  try {
+    (void)f.tier().submit_edges_exist(queries).get();
+  } catch (const core::SubmitRejected&) {
+    error = std::current_exception();
+  }
+  ASSERT_TRUE(error);
+  EXPECT_EQ(reject_reason(error), core::RejectReason::kQueueFull);
+  f.release();
+  EXPECT_EQ(f.tier().shard(0).num_edges(), 1u);  // the filler alone
+}
+
+// ---- durable tier cuts -----------------------------------------------------
+
 TEST(ShardedSnapshot, PerShardFilesRestoreIntoIdenticalTier) {
-  ShardTempDir dir;
+  core::testutil::TempDir dir;
   const std::string prefix = dir.file("tier.snap");
   auto tier = make_tier<MapPolicy>(4, true);
   const auto batch = random_batch(21, 5000, kVertices);

@@ -7,9 +7,10 @@ fails (exit 1) when a relative target does not exist on disk. External
 (http/https/mailto) targets and pure #anchors are skipped; a `path#anchor`
 target is checked for the path part only.
 
-When docs/CONFIG.md is among the checked files, its GraphConfig table is
-also checked against `struct GraphConfig` in src/core/types.hpp: every
-field needs a row, and every row must name a field that exists.
+When docs/CONFIG.md is among the checked files, its GraphConfig and
+ShardConfig tables are also checked against `struct GraphConfig` in
+src/core/types.hpp and `struct ShardConfig` in src/shard/sharded_graph.hpp:
+every field needs a row, and every row must name a field that exists.
 
 Usage:
     python3 tools/check_doc_links.py README.md docs [more files or dirs...]
@@ -57,9 +58,13 @@ def check_file(md_path, repo_root):
 
 
 _CONFIG_DOC = os.path.join("docs", "CONFIG.md")
-_CONFIG_SRC = os.path.join("src", "core", "types.hpp")
+# (struct, header declaring it): each struct has a table in _CONFIG_DOC.
+_CONFIG_STRUCTS = (
+    ("GraphConfig", os.path.join("src", "core", "types.hpp")),
+    ("ShardConfig", os.path.join("src", "shard", "sharded_graph.hpp")),
+)
 # One member declaration per line: `type name = default;` or `type name;`.
-_FIELD = re.compile(r"^\s*[A-Za-z_][\w:<>(), ]*\s([a-z_][a-z0-9_]*)\s*(=[^;]*)?;\s*$")
+_FIELD = re.compile(r"^\s*[A-Za-z_][\w:<>(),&* ]*\s([a-z_][a-z0-9_]*)\s*(=[^;]*)?;\s*$")
 _ROW = re.compile(r"^\|\s*`([a-z_][a-z0-9_]*)`\s*\|")
 
 
@@ -76,12 +81,13 @@ def struct_fields(header_text, struct_name):
 
 
 def table_rows(markdown_text, heading):
-    """First-column `names` of the table under `## <heading>`."""
+    """First-column `names` of the table under the `## ` heading whose
+    first word is `heading`."""
     rows = []
     in_section = False
     for line in markdown_text.splitlines():
         if line.startswith("## "):
-            in_section = line[3:].strip() == heading
+            in_section = line[3:].split()[:1] == [heading]
             continue
         match = _ROW.match(line) if in_section else None
         if match:
@@ -89,15 +95,18 @@ def table_rows(markdown_text, heading):
     return rows
 
 
-def check_config_table(repo_root):
-    with open(os.path.join(repo_root, _CONFIG_SRC), encoding="utf-8") as f:
-        fields = struct_fields(f.read(), "GraphConfig")
+def check_config_tables(repo_root):
     with open(os.path.join(repo_root, _CONFIG_DOC), encoding="utf-8") as f:
-        rows = table_rows(f.read(), "GraphConfig")
-    errors = [f"{_CONFIG_DOC}: no GraphConfig row for field `{name}`"
-              for name in fields if name not in rows]
-    errors += [f"{_CONFIG_DOC}: GraphConfig row `{name}` names no field "
-               f"of {_CONFIG_SRC}" for name in rows if name not in fields]
+        doc = f.read()
+    errors = []
+    for struct, header in _CONFIG_STRUCTS:
+        with open(os.path.join(repo_root, header), encoding="utf-8") as f:
+            fields = struct_fields(f.read(), struct)
+        rows = table_rows(doc, struct)
+        errors += [f"{_CONFIG_DOC}: no {struct} row for field `{name}`"
+                   for name in fields if name not in rows]
+        errors += [f"{_CONFIG_DOC}: {struct} row `{name}` names no field "
+                   f"of {header}" for name in rows if name not in fields]
     return errors
 
 
@@ -115,7 +124,7 @@ def main(argv):
     for md in files:
         errors.extend(check_file(md, repo_root))
         if os.path.abspath(md) == os.path.join(repo_root, _CONFIG_DOC):
-            errors.extend(check_config_table(repo_root))
+            errors.extend(check_config_tables(repo_root))
     for err in errors:
         print(err, file=sys.stderr)
     print(f"checked {len(files)} file(s): "
