@@ -32,8 +32,9 @@ std::vector<Edge> scan_expired_edges(const memory::SlabArena& arena,
     std::vector<VertexId> keys;
     simt::pipeline(
         last - first, kRunPrefetchDepth,
+        [&](std::uint64_t i) { dict.prefetch(live[first + i]); },
         [&](std::uint64_t i) {
-          simt::prefetch(
+          simt::prefetch_slab(
               &arena.resolve(dict.table(live[first + i]).bucket_head(0)));
         },
         [&](std::uint64_t i) {

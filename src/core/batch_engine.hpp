@@ -12,7 +12,9 @@
 //      the directions it owns straight into its staged SoA arrays (no 2x
 //      mirrored temp vector), dropping self-loops, creating missing vertex
 //      tables (exclusive per shard: no lazy-creation mutex), and
-//      pre-hashing each key ONCE into its destination bucket.
+//      pre-hashing each key ONCE into its destination bucket. The loop
+//      prefetches the dictionary entry of the owned source
+//      kStagePrefetchDistance items ahead of its table lookup.
 //   2. GROUP (per-shard sort + scan) — stable-radix-sort the shard's
 //      queries by the packed (vertex, bucket) segment id
 //      (sort::radix_sort_hi with the hi OR/AND masks accumulated for free
@@ -30,12 +32,15 @@
 //      output with zero driver-side copy.
 //   3. APPLY (parallel) — simt::launch_runs schedules contiguous run
 //      ranges balanced by query count; each warp walks a run's bucket
-//      chain once through the slabhash bulk entry points, software-
-//      pipelining the next run's head slab (simt::pipeline + prefetch)
-//      while the current slab's SIMD compares resolve. An insert's
-//      per-source counter update doubles as the §III chain-length metric:
-//      a source whose live count outgrows its buckets is noted for rebuild
-//      once the batch commits (DynGraph::maybe_auto_rehash).
+//      chain once through the slabhash bulk entry points. The walk is
+//      latency-tolerant at three distances: a two-stage simt::pipeline
+//      fetches the dictionary entry of the run 2*kRunPrefetchDepth ahead
+//      and the whole head slab (both cache lines, simt::prefetch_slab) of
+//      the run kRunPrefetchDepth ahead, and inside a chain each slab's
+//      successor is fetched whole while its SIMD compares resolve. An
+//      insert's per-source counter update doubles as the §III chain-length
+//      metric: a source whose live count outgrows its buckets is noted for
+//      rebuild once the batch commits (DynGraph::maybe_auto_rehash).
 //
 // Large batches additionally split into EPOCHS and double-buffer: epoch
 // e+1 runs stages 1-2 as a background ThreadPool job while epoch e runs
@@ -93,9 +98,15 @@ struct PipelineAbort {
   std::uint64_t applied_before = 0;    ///< keys applied by earlier epochs
 };
 
-/// Runs this many positions ahead of the probe loop when prefetching head
-/// slabs (stage 3's software-pipeline depth).
+/// Stage 3's software-pipeline depth (simt::pipeline): a run's head slab
+/// is prefetched this many runs ahead of its probe, and its source's
+/// dictionary entry twice as far ahead, so the head-slab address is
+/// cache-resident when the slab prefetch forms it.
 inline constexpr std::uint64_t kRunPrefetchDepth = 4;
+
+/// Input items the stage-1 loops run ahead of their dictionary reads when
+/// prefetching the owned sources' entries.
+inline constexpr std::size_t kStagePrefetchDistance = 16;
 
 /// Upper bound on stage shards (the auto heuristic is one per pool worker;
 /// past this, per-shard sort histograms stop paying for themselves).
@@ -326,19 +337,32 @@ struct BatchPipelineStats {
 /// sharded variants filter by vertex ownership, so `table_of` is only ever
 /// invoked from the one shard owning `src`: dictionary writes stay
 /// exclusive per vertex and need no lock even though shards run in
-/// parallel.
+/// parallel. `prefetch_of(src)` hints the dictionary entry `table_of` will
+/// read; the loops call it kStagePrefetchDistance items ahead, for owned
+/// sources only, so the entry's miss overlaps the hashing of the items in
+/// between. It must accept any id, known or not (VertexDictionary::prefetch).
+/// The unsharded wrapper stage_weighted_edges prefetches nothing: its
+/// callers stage against hand-built tables.
 
-template <typename TableFn>
+template <typename PrefetchFn, typename TableFn>
 void stage_weighted_edges_shard(std::span<const WeightedEdge> edges,
                                 bool undirected, bool keep_weights,
                                 std::uint64_t seed, std::uint32_t shard,
-                                std::uint32_t num_shards, TableFn&& table_of,
+                                std::uint32_t num_shards,
+                                PrefetchFn&& prefetch_of, TableFn&& table_of,
                                 BatchStaging& st) {
   st.clear();
   st.reserve(edges.size() * (undirected ? 2 : 1) / num_shards + 16,
              keep_weights);
+  const std::size_t n = edges.size();
   if (num_shards == 1) {  // unsharded: keep the filter off the hot loop
-    for (const WeightedEdge& e : edges) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kStagePrefetchDistance < n) {
+        const WeightedEdge& ahead = edges[i + kStagePrefetchDistance];
+        prefetch_of(ahead.src);
+        if (undirected) prefetch_of(ahead.dst);
+      }
+      const WeightedEdge& e = edges[i];
       if (e.src == e.dst) {  // self-loops drop (Algorithm 1 line 3)
         ++st.dropped;
         continue;
@@ -360,7 +384,17 @@ void stage_weighted_edges_shard(std::span<const WeightedEdge> edges,
     }
     return;
   }
-  for (const WeightedEdge& e : edges) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kStagePrefetchDistance < n) {
+      const WeightedEdge& ahead = edges[i + kStagePrefetchDistance];
+      if (shard_of_vertex(ahead.src, num_shards) == shard) {
+        prefetch_of(ahead.src);
+      }
+      if (undirected && shard_of_vertex(ahead.dst, num_shards) == shard) {
+        prefetch_of(ahead.dst);
+      }
+    }
+    const WeightedEdge& e = edges[i];
     if (e.src == e.dst) {  // self-loops drop (Algorithm 1 line 3)
       if (shard_of_vertex(e.src, num_shards) == shard) ++st.dropped;
       continue;
@@ -390,18 +424,26 @@ void stage_weighted_edges(std::span<const WeightedEdge> edges, bool undirected,
                           bool keep_weights, std::uint64_t seed,
                           TableFn&& table_of, BatchStaging& st) {
   stage_weighted_edges_shard(edges, undirected, keep_weights, seed, 0, 1,
-                             std::forward<TableFn>(table_of), st);
+                             [](VertexId) {}, std::forward<TableFn>(table_of),
+                             st);
 }
 
-template <typename TableFn>
+template <typename PrefetchFn, typename TableFn>
 void stage_edges_shard(std::span<const Edge> edges, bool undirected,
                        std::uint64_t seed, std::uint32_t shard,
-                       std::uint32_t num_shards, TableFn&& table_of,
-                       BatchStaging& st) {
+                       std::uint32_t num_shards, PrefetchFn&& prefetch_of,
+                       TableFn&& table_of, BatchStaging& st) {
   st.clear();
   st.reserve(edges.size() * (undirected ? 2 : 1) / num_shards + 16, false);
+  const std::size_t n = edges.size();
   if (num_shards == 1) {  // unsharded fast path
-    for (const Edge& e : edges) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kStagePrefetchDistance < n) {
+        const Edge& ahead = edges[i + kStagePrefetchDistance];
+        prefetch_of(ahead.src);
+        if (undirected) prefetch_of(ahead.dst);
+      }
+      const Edge& e = edges[i];
       const slabhash::TableRef fwd = table_of(e.src);
       if (fwd.valid()) {
         st.push(e.src, e.dst, fwd, seed);
@@ -419,7 +461,17 @@ void stage_edges_shard(std::span<const Edge> edges, bool undirected,
     }
     return;
   }
-  for (const Edge& e : edges) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kStagePrefetchDistance < n) {
+      const Edge& ahead = edges[i + kStagePrefetchDistance];
+      if (shard_of_vertex(ahead.src, num_shards) == shard) {
+        prefetch_of(ahead.src);
+      }
+      if (undirected && shard_of_vertex(ahead.dst, num_shards) == shard) {
+        prefetch_of(ahead.dst);
+      }
+    }
+    const Edge& e = edges[i];
     if (shard_of_vertex(e.src, num_shards) == shard) {
       const slabhash::TableRef fwd = table_of(e.src);
       if (fwd.valid()) {
@@ -439,13 +491,6 @@ void stage_edges_shard(std::span<const Edge> edges, bool undirected,
   }
 }
 
-template <typename TableFn>
-void stage_edges(std::span<const Edge> edges, bool undirected,
-                 std::uint64_t seed, TableFn&& table_of, BatchStaging& st) {
-  stage_edges_shard(edges, undirected, seed, 0, 1,
-                    std::forward<TableFn>(table_of), st);
-}
-
 /// Stage queries that must scatter results back to their input position:
 /// the staged sequence number IS the original index of the query (one
 /// staged query per input at most; dropped inputs simply have no staged
@@ -453,14 +498,21 @@ void stage_edges(std::span<const Edge> edges, bool undirected,
 /// staged by the shard owning its source. `seq_base` offsets the staged
 /// sequence numbers — epoch-pipelined query batches stage sub-spans, and
 /// results must still scatter to GLOBAL input positions.
-template <typename TableFn>
+template <typename PrefetchFn, typename TableFn>
 void stage_queries_shard(std::span<const Edge> queries, std::uint64_t seed,
                          std::uint32_t shard, std::uint32_t num_shards,
-                         TableFn&& table_of, BatchStaging& st,
-                         std::uint32_t seq_base = 0) {
+                         PrefetchFn&& prefetch_of, TableFn&& table_of,
+                         BatchStaging& st, std::uint32_t seq_base = 0) {
   st.clear();
   st.reserve(queries.size() / num_shards + 16, false);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
+  const std::size_t n = queries.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i + kStagePrefetchDistance < n) {
+      const VertexId ahead = queries[i + kStagePrefetchDistance].src;
+      if (num_shards == 1 || shard_of_vertex(ahead, num_shards) == shard) {
+        prefetch_of(ahead);
+      }
+    }
     const Edge& q = queries[i];
     if (num_shards != 1 && shard_of_vertex(q.src, num_shards) != shard) {
       continue;
@@ -473,13 +525,6 @@ void stage_queries_shard(std::span<const Edge> queries, std::uint64_t seed,
       ++st.dropped;  // unknown source: the caller's output stays 0
     }
   }
-}
-
-template <typename TableFn>
-void stage_queries(std::span<const Edge> queries, std::uint64_t seed,
-                   TableFn&& table_of, BatchStaging& st) {
-  stage_queries_shard(queries, seed, 0, 1, std::forward<TableFn>(table_of),
-                      st);
 }
 
 }  // namespace sg::core

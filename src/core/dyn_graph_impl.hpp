@@ -513,6 +513,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
   // First-touch table creation needs no lazy-creation mutex even though
   // shards stage in parallel: the shard owning a vertex is the only one
   // that ever calls table_of for it.
+  const auto prefetch_of = [this](VertexId u) { dict_.prefetch(u); };
   const auto table_of = [this](VertexId u) {
     if (!dict_.has_table(u)) {
       const memory::SlabHandle base =
@@ -532,7 +533,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
           stage_weighted_edges_shard(edges.subspan(begin, end - begin),
                                      config_.undirected, Policy::kHasValues,
                                      config_.hash_seed, shard, num_shards,
-                                     table_of, st);
+                                     prefetch_of, table_of, st);
         });
   } catch (PipelineAbort& abort) {
     // Arena exhaustion mid-apply: committed epochs stay applied, counters
@@ -576,6 +577,7 @@ std::uint64_t DynGraph<Policy>::insert_batched(
 template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
+  const auto prefetch_of = [this](VertexId u) { dict_.prefetch(u); };
   const auto table_of = [this](VertexId u) { return existing_table(u); };
   std::uint64_t removed = 0;
   try {
@@ -585,7 +587,7 @@ std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
             std::uint32_t num_shards, BatchStaging& st) {
           stage_edges_shard(edges.subspan(begin, end - begin),
                             config_.undirected, config_.hash_seed, shard,
-                            num_shards, table_of, st);
+                            num_shards, prefetch_of, table_of, st);
         });
   } catch (const std::bad_alloc&) {
     throw;  // host heap exhausted: building a partial report could too
@@ -661,8 +663,11 @@ std::uint64_t DynGraph<Policy>::apply_mutation_runs(const BatchStaging& staged,
         simt::pipeline(
             last - first, kRunPrefetchDepth,
             [&](std::uint64_t i) {
+              dict_.prefetch(staged.runs[first + i].src);
+            },
+            [&](std::uint64_t i) {
               const QueryRun& run = staged.runs[first + i];
-              simt::prefetch(&arena_.resolve(
+              simt::prefetch_slab(&arena_.resolve(
                   dict_.table(run.src).bucket_head(run.bucket)));
             },
             [&](std::uint64_t i) {
@@ -758,8 +763,11 @@ void DynGraph<Policy>::search_apply_runs(const BatchStaging& staged,
         simt::pipeline(
             last - first, kRunPrefetchDepth,
             [&](std::uint64_t i) {
+              dict_.prefetch(staged.runs[first + i].src);
+            },
+            [&](std::uint64_t i) {
               const QueryRun& run = staged.runs[first + i];
-              simt::prefetch(&arena_.resolve(
+              simt::prefetch_slab(&arena_.resolve(
                   dict_.table(run.src).bucket_head(run.bucket)));
             },
             [&](std::uint64_t i) {
@@ -813,6 +821,7 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
   // independently through LOCAL staging buffers (the double-buffered
   // members belong to the mutation phase).
   ShardedStaging bufs[2];
+  const auto prefetch_of = [this](VertexId u) { dict_.prefetch(u); };
   const auto table_of = [this](VertexId u) { return existing_table(u); };
   // One query slice's staging pass, with the staged sequence numbers
   // offset to GLOBAL input positions so scatter lands correctly. Safe to
@@ -825,7 +834,7 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
       BatchStaging& st = buf->shard(static_cast<std::uint32_t>(s));
       stage_queries_shard(queries.subspan(begin, end - begin),
                           config_.hash_seed, static_cast<std::uint32_t>(s),
-                          shards, table_of, st,
+                          shards, prefetch_of, table_of, st,
                           static_cast<std::uint32_t>(begin));
       if (shards == 1) {
         st.group(/*dedup=*/false, /*gather_values=*/false,
@@ -880,10 +889,12 @@ void DynGraph<Policy>::gather_neighbors(std::span<const VertexId> vertices,
   simt::launch_runs(offsets, [&](std::uint64_t first, std::uint64_t last) {
     simt::pipeline(
         last - first, kRunPrefetchDepth,
+        [&](std::uint64_t i) { dict_.prefetch(vertices[first + i]); },
         [&](std::uint64_t i) {
           const VertexId u = vertices[first + i];
           if (u < capacity && dict_.has_table(u)) {
-            simt::prefetch(&arena_.resolve(dict_.table(u).bucket_head(0)));
+            simt::prefetch_slab(
+                &arena_.resolve(dict_.table(u).bucket_head(0)));
           }
         },
         [&](std::uint64_t i) {

@@ -17,6 +17,7 @@
 
 #include "src/core/types.hpp"
 #include "src/simt/atomics.hpp"
+#include "src/simt/warp.hpp"
 #include "src/slabhash/slab_layout.hpp"
 
 namespace sg::core {
@@ -50,6 +51,14 @@ class VertexDictionary {
   void set_table(VertexId u, slabhash::TableRef ref) noexcept {
     simt::racy_store(entries_[u].num_buckets, ref.num_buckets);
     simt::racy_store(entries_[u].table_base, ref.base);
+  }
+
+  /// Prefetches `u`'s entry ahead of a table()/has_table() read. `u` may
+  /// name an unknown vertex (erase, search and gather inputs are caller
+  /// data): past capacity() this is a no-op, and the entry's address is
+  /// only formed for ids inside the array.
+  void prefetch(VertexId u) const noexcept {
+    if (u < entries_.size()) simt::prefetch(entries_.data() + u);
   }
 
   /// Edge counters are mutated with atomics during batched updates.

@@ -24,21 +24,29 @@ std::uint64_t carve(std::vector<std::uint64_t>& counts, RoutedBatch<T>& out) {
 }
 
 /// The one mutation routing body: the mirror is the edge with its
-/// endpoints swapped, so an insert's mirror keeps its weight.
+/// endpoints swapped, so an insert's mirror keeps its weight. The count
+/// pass records every emission's owner, so the emit pass hashes nothing.
 template <typename T>
 RoutedBatch<T> route_mutations(std::span<const T> edges, std::uint32_t shards,
                                bool mirror) {
   RoutedBatch<T> out;
   std::vector<std::uint64_t> counts(shards, 0);
-  for (const T& e : edges) {
-    ++counts[owner_of(e.src, shards)];
-    if (mirror && e.src != e.dst) ++counts[owner_of(e.dst, shards)];
+  // Per edge: its source's owner, then (mirrored, non-loop) its mirror's.
+  const std::size_t stride = mirror ? 2 : 1;
+  std::vector<std::uint32_t> owners(edges.size() * stride);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const T& e = edges[i];
+    ++counts[owners[i * stride] = owner_of(e.src, shards)];
+    if (mirror && e.src != e.dst) {
+      ++counts[owners[i * stride + 1] = owner_of(e.dst, shards)];
+    }
   }
   out.items.resize(carve(counts, out));
-  for (const T& e : edges) {
-    out.items[counts[owner_of(e.src, shards)]++] = e;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const T& e = edges[i];
+    out.items[counts[owners[i * stride]]++] = e;
     if (mirror && e.src != e.dst) {
-      T& m = out.items[counts[owner_of(e.dst, shards)]++];
+      T& m = out.items[counts[owners[i * stride + 1]]++];
       m = e;
       std::swap(m.src, m.dst);
     }
@@ -63,12 +71,15 @@ RoutedBatch<core::Edge> route_queries(std::span<const core::Edge> queries,
                                       std::uint32_t shards) {
   RoutedBatch<core::Edge> out;
   std::vector<std::uint64_t> counts(shards, 0);
-  for (const core::Edge& q : queries) ++counts[owner_of(q.src, shards)];
+  std::vector<std::uint32_t> owners(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ++counts[owners[i] = owner_of(queries[i].src, shards)];
+  }
   const std::uint64_t total = carve(counts, out);
   out.items.resize(total);
   out.seq.resize(total);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const std::uint64_t slot = counts[owner_of(queries[i].src, shards)]++;
+    const std::uint64_t slot = counts[owners[i]]++;
     out.items[slot] = queries[i];
     out.seq[slot] = static_cast<std::uint32_t>(i);
   }

@@ -25,6 +25,7 @@
 // reassemble per-shard result vectors into original input order.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,13 +37,18 @@ namespace sg::shard {
 /// Owner shard of source vertex `src` under `shards` shards. A
 /// splitmix64-style finalizer spreads consecutive vertex ids (real graphs
 /// number vertices densely; `src % shards` would stripe hubs onto one
-/// shard for power-of-two strides).
+/// shard for power-of-two strides). A power-of-two count masks instead of
+/// dividing: `x & (shards - 1)` equals `x % shards` there, so the
+/// partition is the same either way.
 inline std::uint32_t owner_of(core::VertexId src,
                               std::uint32_t shards) noexcept {
   std::uint64_t x = static_cast<std::uint64_t>(src) + 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   x ^= x >> 31;
+  if (std::has_single_bit(shards)) {
+    return static_cast<std::uint32_t>(x & (shards - 1u));
+  }
   return static_cast<std::uint32_t>(x % shards);
 }
 

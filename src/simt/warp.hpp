@@ -20,6 +20,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace sg::simt {
@@ -61,25 +62,48 @@ constexpr int ffs(std::uint32_t mask) noexcept {
   return mask == 0 ? 0 : std::countr_zero(mask) + 1;
 }
 
-/// Software-prefetch hint (read intent, moderate temporal locality) — the
-/// CPU stand-in for the GPU hiding a warp's global-memory latency by
-/// switching to another resident warp.
+/// Bytes of one warp-wide slab (32 four-byte words) and of one CPU cache
+/// line: on the host a slab spans two lines.
+inline constexpr std::size_t kSlabBytes = kWarpSize * sizeof(std::uint32_t);
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Software-prefetch hint for the ONE cache line holding `address` (read
+/// intent, moderate temporal locality) — the CPU stand-in for the GPU
+/// hiding a warp's global-memory latency by switching to another resident
+/// warp. A slab is two lines: use prefetch_slab for it.
 inline void prefetch(const void* address) noexcept {
   __builtin_prefetch(address, /*rw=*/0, /*locality=*/2);
 }
 
-/// Software pipeline over `n` items: issue prefetch(i + depth) before
-/// process(i), so the memory latency of item i+depth overlaps the compute
-/// of item i. This is the warp-level pipelining of the batch engine: while
-/// the SIMD compare on the current run's slab resolves, the next run's head
-/// slab is already on its way up the cache hierarchy (docs/PERF.md).
-template <typename PrefetchFn, typename ProcessFn>
-inline void pipeline(std::uint64_t n, std::uint64_t depth, PrefetchFn&& prefetch_item,
-                     ProcessFn&& process_item) {
-  const std::uint64_t warmup = depth < n ? depth : n;
-  for (std::uint64_t i = 0; i < warmup; ++i) prefetch_item(i);
+/// Prefetches every cache line of the slab at `slab` (128-byte aligned):
+/// the host counterpart of the GPU's one coalesced 128-byte warp load. A
+/// probe compares all 32 words, so fetching only the first line would
+/// leave the second as a demand miss.
+inline void prefetch_slab(const void* slab) noexcept {
+  const char* bytes = static_cast<const char*>(slab);
+  for (std::size_t off = 0; off < kSlabBytes; off += kCacheLineBytes) {
+    prefetch(bytes + off);
+  }
+}
+
+/// Two-stage software pipeline over `n` items: before process(i), issue
+/// prefetch_far(i + 2*depth) and prefetch_near(i + depth). The far stage
+/// fetches what the near stage must READ to form its address (the batch
+/// engine: a run's vertex-dictionary entry), so by the time the near
+/// stage dereferences it the line is cached and the near prefetch (the
+/// run's head slab) issues without stalling; the near line in turn lands
+/// while items i..i+depth-1 compute. This is the warp-level pipelining of
+/// the batch engine (docs/PERF.md "Prefetching the slab walk"). Look-ahead
+/// never passes `n`: each callback sees only indices in [0, n).
+template <typename FarFn, typename NearFn, typename ProcessFn>
+inline void pipeline(std::uint64_t n, std::uint64_t depth, FarFn&& prefetch_far,
+                     NearFn&& prefetch_near, ProcessFn&& process_item) {
+  const std::uint64_t far = 2 * depth;
+  for (std::uint64_t i = 0; i < far && i < n; ++i) prefetch_far(i);
+  for (std::uint64_t i = 0; i < depth && i < n; ++i) prefetch_near(i);
   for (std::uint64_t i = 0; i < n; ++i) {
-    if (i + depth < n) prefetch_item(i + depth);
+    if (i + far < n) prefetch_far(i + far);
+    if (i + depth < n) prefetch_near(i + depth);
     process_item(i);
   }
 }

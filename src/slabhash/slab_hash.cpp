@@ -313,7 +313,8 @@ MapFindResult SlabOps<Layout>::search(const memory::SlabArena& arena,
 // Staged bulk entry points. One wave of <= 32 keys (a warp's worth) walks
 // the bucket chain once: per slab, one vector compare per still-pending key
 // against cache-hot words, ONE EMPTY/TOMBSTONE-mask scan shared by every
-// claim, and the successor slab prefetched while the compares resolve.
+// claim, and the whole successor slab (both cache lines) prefetched while
+// the compares resolve.
 // Unlike the paper ("tombstones are disregarded in edge insertion"), a bulk
 // insert reuses tombstoned slots: its run owns the bucket for the phase, so
 // the race that forbids reuse on the GPU cannot happen (docs/ARCHITECTURE.md).
@@ -354,7 +355,7 @@ std::uint32_t SlabOps<Layout>::bulk_insert(
       // Load the successor early: its slab climbs the cache hierarchy
       // while this slab's compares and claims resolve.
       SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
-      if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
+      if (next != kNullSlab) simt::prefetch_slab(&arena.resolve(next));
       // The first lane's probe yields the slab's EMPTY and TOMBSTONE masks
       // for free (one pass computes all three masks); later lanes only need
       // the match. The run owns this bucket for the phase, so that one scan
@@ -463,7 +464,7 @@ std::uint32_t SlabOps<Layout>::bulk_erase(memory::SlabArena& arena,
     while (pending != 0 && handle != kNullSlab) {
       Slab& slab = arena.resolve(handle);
       const SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
-      if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
+      if (next != kNullSlab) simt::prefetch_slab(&arena.resolve(next));
       // First lane probes all three masks in one pass; erase never creates
       // EMPTY slots, so the mask stays valid across the wave.
       std::uint32_t empties = 0;
@@ -515,7 +516,7 @@ void SlabOps<Layout>::bulk_search(const memory::SlabArena& arena,
     while (pending != 0 && handle != kNullSlab) {
       const Slab& slab = arena.resolve(handle);
       const SlabHandle next = atomic_load(slab.words[kNextPtrWord]);
-      if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
+      if (next != kNullSlab) simt::prefetch_slab(&arena.resolve(next));
       std::uint32_t empties = 0;
       bool probed = false;
       for (std::uint32_t m = pending; m != 0; m &= m - 1) {
@@ -582,7 +583,7 @@ std::uint32_t SlabOps<Layout>::gather(const memory::SlabArena& arena,
       std::uint32_t snap[memory::kWordsPerSlab];
       simt::snapshot_slab(arena.resolve(handle), snap);
       const SlabHandle next = snap[kNextPtrWord];
-      if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
+      if (next != kNullSlab) simt::prefetch_slab(&arena.resolve(next));
       std::uint32_t live = live_key_words<Layout>(snap);
       while (live != 0 && written < cap) {
         out[written++] = snap[std::countr_zero(live)];
@@ -609,7 +610,7 @@ std::uint32_t SlabOps<Layout>::scan_below(const memory::SlabArena& arena,
       std::uint32_t snap[memory::kWordsPerSlab];
       simt::snapshot_slab(arena.resolve(handle), snap);
       const SlabHandle next = snap[kNextPtrWord];
-      if (next != kNullSlab) simt::prefetch(&arena.resolve(next));
+      if (next != kNullSlab) simt::prefetch_slab(&arena.resolve(next));
       std::uint32_t live = live_key_words<Layout>(snap);
       while (live != 0 && written < cap) {
         const int key_word = std::countr_zero(live);

@@ -390,5 +390,234 @@ TEST(SlabBulkOps, SetBulkInsertEraseContains) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Look-ahead bounds. The stage loops and the run walks prefetch items ahead
+// of the one they process (dictionary entries, head slabs, successor
+// slabs), so every end — of the batch, of a launch_runs chunk, of the
+// dictionary, of an arena chunk — must stay in bounds and change no answer.
+// ---------------------------------------------------------------------------
+
+/// Checks every batched read path against the model on `queries`, and the
+/// gather on their sources. Sources may lie past the dictionary's capacity.
+template <class Policy>
+void expect_batched_reads_match(const DynGraph<Policy>& g,
+                                const ReferenceGraph& model,
+                                const std::vector<Edge>& queries) {
+  std::vector<std::uint8_t> found(queries.size(), 7);
+  g.edges_exist(queries, found.data());
+  EXPECT_EQ(found, model.exist(queries));
+  if constexpr (Policy::kHasValues) {
+    std::vector<Weight> weights(queries.size(), 7);
+    std::vector<std::uint8_t> hit(queries.size(), 7);
+    g.edge_weights(queries, weights.data(), hit.data());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(weights[i], model.weight(queries[i].src, queries[i].dst))
+          << "query " << i;
+      EXPECT_EQ(hit[i], model.edge_exists(queries[i].src, queries[i].dst));
+    }
+  }
+  std::vector<VertexId> sources;
+  for (const Edge& q : queries) sources.push_back(q.src);
+  const GatherResult gathered = g.gather_neighbors(sources);
+  ASSERT_EQ(gathered.offsets.size(), sources.size() + 1);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const auto got = gathered.neighbors_of(i);
+    std::set<VertexId> expect;
+    const auto it = model.adjacency().find(sources[i]);
+    if (it != model.adjacency().end()) {
+      for (const auto& [v, w] : it->second) expect.insert(v);
+    }
+    EXPECT_EQ(std::set<VertexId>(got.begin(), got.end()), expect)
+        << "vertex " << sources[i];
+    EXPECT_EQ(got.size(), expect.size());
+  }
+}
+
+/// Queries whose sources straddle the dictionary's end: known sources
+/// (hits and misses) interleaved with ids at, just past and far past
+/// `capacity`, with a block of unknown ids at both ends of the batch so the
+/// first and last look-ahead windows see only them.
+std::vector<Edge> queries_around_capacity(std::uint64_t seed,
+                                          std::uint32_t capacity,
+                                          std::uint32_t known) {
+  const std::vector<VertexId> beyond = {capacity - 1, capacity,
+                                        capacity + 1,  capacity + 31,
+                                        2 * capacity,  1u << 30,
+                                        kMaxVertexId};
+  util::Xoshiro256 rng(seed);
+  std::vector<Edge> queries;
+  for (int i = 0; i < 24; ++i) {
+    queries.push_back({beyond[i % beyond.size()], static_cast<VertexId>(i)});
+  }
+  for (int i = 0; i < 400; ++i) {
+    const auto src = static_cast<VertexId>(rng.below(known));
+    const auto dst = static_cast<VertexId>(rng.below(known));
+    queries.push_back({src, dst});
+    if (i % 5 == 0) queries.push_back({beyond[rng.below(beyond.size())], dst});
+  }
+  for (int i = 0; i < 24; ++i) {
+    queries.push_back({beyond[i % beyond.size()], static_cast<VertexId>(i)});
+  }
+  return queries;
+}
+
+template <class Policy>
+void run_beyond_capacity(bool undirected) {
+  constexpr std::uint32_t kKnown = 64;
+  DynGraph<Policy> g(engine_config(undirected, kKnown));
+  ReferenceGraph model(undirected);
+  auto batch = random_batch(21, 900, kKnown);
+  if constexpr (!Policy::kHasValues) {
+    for (auto& e : batch) e.weight = 0;  // the set stores no weights
+  }
+  ASSERT_EQ(g.insert_edges(batch), model.insert(batch));
+  const std::uint32_t capacity = g.vertex_capacity();
+  ASSERT_GE(capacity, kKnown);
+  const auto queries = queries_around_capacity(5, capacity, kKnown);
+  expect_batched_reads_match(g, model, queries);
+  // Erase through the same straddling batch: unknown sources drop, the
+  // dictionary never grows for them.
+  EXPECT_EQ(g.delete_edges(queries), model.erase(queries));
+  EXPECT_EQ(g.vertex_capacity(), capacity);
+  expect_batched_reads_match(g, model, queries);
+}
+
+TEST(LookAheadBounds, MapSourcesAtAndBeyondDictionaryCapacity) {
+  run_beyond_capacity<MapPolicy>(false);
+}
+TEST(LookAheadBounds, MapUndirectedSourcesBeyondDictionaryCapacity) {
+  run_beyond_capacity<MapPolicy>(true);
+}
+TEST(LookAheadBounds, SetSourcesAtAndBeyondDictionaryCapacity) {
+  run_beyond_capacity<SetPolicy>(false);
+}
+
+TEST(LookAheadBounds, EmptyOneItemAndOneRunBatches) {
+  DynGraphMap g(engine_config());
+  ReferenceGraph model;
+  // Empty batches: nothing to look ahead to.
+  EXPECT_EQ(g.insert_edges(std::vector<WeightedEdge>{}), 0u);
+  EXPECT_EQ(g.delete_edges(std::vector<Edge>{}), 0u);
+  g.edges_exist(std::vector<Edge>{}, nullptr);
+  const GatherResult none = g.gather_neighbors(std::vector<VertexId>{});
+  EXPECT_EQ(none.offsets, std::vector<std::uint64_t>{0});
+  EXPECT_TRUE(none.neighbors.empty());
+
+  // One item: every look-ahead window is past the end.
+  const std::vector<WeightedEdge> one = {{3, 5, 7}};
+  ASSERT_EQ(g.insert_edges(one), model.insert(one));
+  expect_batched_reads_match(g, model, {{3, 5}});
+  expect_batched_reads_match(g, model, {{3, 6}});
+
+  // One run: a fresh vertex's single bucket receives the whole batch.
+  std::vector<WeightedEdge> run;
+  for (VertexId v = 0; v < 100; ++v) run.push_back({9, 1000 + 3 * v, v + 1});
+  ASSERT_EQ(g.insert_edges(run), model.insert(run));
+  std::vector<Edge> run_queries;
+  for (VertexId v = 0; v < 150; ++v) run_queries.push_back({9, 1000 + 2 * v});
+  expect_batched_reads_match(g, model, run_queries);
+  const std::vector<Edge> single = {{3, 5}};
+  EXPECT_EQ(g.delete_edges(single), model.erase(single));
+  EXPECT_EQ(g.delete_edges(run_queries), model.erase(run_queries));
+  expect_batched_reads_match(g, model, run_queries);
+  expect_batched_reads_match(g, model, {{3, 5}});
+}
+
+TEST(LookAheadBounds, RunListCrossingLaunchChunkEnds) {
+  // Thousands of runs of uneven length: launch_runs cuts the run list into
+  // several chunks at any pool width (four per worker, by item count), so
+  // each chunk's pipeline look-ahead reaches its chunk end many times.
+  constexpr std::uint32_t kVertices = 3000;
+  DynGraphMap g(engine_config(false, kVertices));
+  ReferenceGraph model;
+  util::Xoshiro256 rng(77);
+  std::vector<WeightedEdge> batch;
+  for (int i = 0; i < 12000; ++i) {
+    // Every 16th vertex is a hub: long runs among singletons.
+    const auto src = static_cast<VertexId>(rng.below(kVertices));
+    const VertexId hub_src = src & ~15u;
+    batch.push_back({i % 3 == 0 ? hub_src : src,
+                     static_cast<VertexId>(rng.below(1u << 16)),
+                     static_cast<Weight>(i + 1)});
+  }
+  ASSERT_EQ(g.insert_edges(batch), model.insert(batch));
+  std::vector<Edge> queries;
+  for (int i = 0; i < 6000; ++i) {
+    const WeightedEdge& e = batch[rng.below(batch.size())];
+    queries.push_back({e.src, i % 2 == 0 ? e.dst : e.dst + 1});
+  }
+  expect_batched_reads_match(g, model, queries);
+  EXPECT_EQ(g.delete_edges(queries), model.erase(queries));
+  expect_batched_reads_match(g, model, queries);
+}
+
+TEST(SlabBulkOps, ChainTailAtArenaChunkEnd) {
+  constexpr std::uint32_t kLast = memory::SlabArena::kChunkSlabs - 1;
+  memory::SlabArena arena;
+  // The head slab takes the last slot of its bulk chunk.
+  arena.allocate_contiguous(kLast, slabhash::kEmptyKey);
+  const slabhash::TableRef table{
+      arena.allocate_contiguous(1, slabhash::kEmptyKey), 1};
+  ASSERT_EQ(table.base & kLast, kLast);
+  // Find a dynamic slab on the last slot of its chunk (keeping the ones
+  // before it) and hand it back: the thread's free-slab cache returns it
+  // to the chain extension below.
+  memory::SlabHandle tail = memory::kNullSlab;
+  for (std::uint32_t i = 0; i <= 2 * memory::SlabArena::kChunkSlabs; ++i) {
+    const memory::SlabHandle h = arena.allocate(slabhash::kEmptyKey);
+    if ((h & kLast) == kLast) {
+      tail = h;
+      break;
+    }
+  }
+  ASSERT_NE(tail, memory::kNullSlab);
+  arena.free(tail);
+
+  // One slab and a few keys more: the chain is head -> tail, both at the
+  // end of their arena chunks.
+  const std::uint32_t n = slabhash::MapLayout::kSlotsPerSlab + 5;
+  std::vector<std::uint32_t> keys, values;
+  std::map<std::uint32_t, std::uint32_t> model;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    keys.push_back(k * 11 + 3);
+    values.push_back(k + 100);
+    model[k * 11 + 3] = k + 100;
+  }
+  ASSERT_EQ(slabhash::MapOps::bulk_insert(arena, table, 0, keys.data(),
+                                          values.data(), n),
+            n);
+  const memory::Slab& head = arena.resolve(table.base);
+  ASSERT_EQ(head.words[slabhash::kNextPtrWord], tail);
+  EXPECT_EQ(arena.resolve(tail).words[slabhash::kNextPtrWord],
+            memory::kNullSlab);
+
+  // Searches (hits and misses walk to the tail), erase, gather: all
+  // against the model.
+  std::vector<std::uint32_t> probe = keys;
+  for (std::uint32_t k = 0; k < n; ++k) probe.push_back(k * 11 + 4);
+  const auto count = static_cast<std::uint32_t>(probe.size());
+  std::vector<std::uint8_t> found(count, 7);
+  std::vector<std::uint32_t> got(count, 0);
+  slabhash::MapOps::bulk_search_values(arena, table, 0, probe.data(), count,
+                                       found.data(), got.data());
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const auto it = model.find(probe[i]);
+    EXPECT_EQ(found[i], it != model.end() ? 1 : 0) << "key " << probe[i];
+    if (it != model.end()) EXPECT_EQ(got[i], it->second);
+  }
+  const std::vector<std::uint32_t> doomed(keys.begin(), keys.begin() + 9);
+  EXPECT_EQ(slabhash::MapOps::bulk_erase(arena, table, 0, doomed.data(), 9),
+            9u);
+  for (std::uint32_t k : doomed) model.erase(k);
+  std::vector<std::uint32_t> out(n, 0);
+  const std::uint32_t gathered =
+      slabhash::MapOps::gather(arena, table, out.data(), n);
+  ASSERT_EQ(gathered, model.size());
+  std::set<std::uint32_t> expect;
+  for (const auto& [k, v] : model) expect.insert(k);
+  EXPECT_EQ(std::set<std::uint32_t>(out.begin(), out.begin() + gathered),
+            expect);
+}
+
 }  // namespace
 }  // namespace sg::core

@@ -155,6 +155,28 @@ void expect_split_preserves_order(const std::vector<T>& batch) {
   }
 }
 
+TEST(BatchRouter, OwnerOfIsPinnedToLiteralShards) {
+  // The router tests below use owner_of as their own oracle, and per-shard
+  // snapshot files depend on the partition: pin it to literal values so a
+  // change to the hash or to the power-of-two mask shows up here.
+  const std::vector<VertexId> ids = {0,    1,     2,         3,         7,
+                                     42,   1000,  65535,     123456789,
+                                     0xFFFFFFFEu};
+  const std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
+      expected = {
+          {1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+          {3, {1, 2, 1, 0, 0, 1, 1, 1, 2, 1}},
+          {4, {3, 1, 2, 1, 3, 1, 0, 2, 1, 2}},
+          {8, {7, 1, 6, 5, 7, 5, 0, 6, 1, 2}},
+      };
+  for (const auto& [shards, owners] : expected) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(owner_of(ids[i], shards), owners[i])
+          << "vertex " << ids[i] << " at " << shards << " shards";
+    }
+  }
+}
+
 TEST(BatchRouter, SplitsPreserveEveryItemAndInputOrderPerShard) {
   const auto batch = random_batch(7, 4096, kVertices);
   expect_split_preserves_order(batch);

@@ -381,5 +381,69 @@ TEST(Atomics, ContendedCasClaimsAreUnique) {
   for (auto slot : slots) EXPECT_NE(slot, 0xFFFFFFFFu);
 }
 
+// ---- two-stage software pipeline ---------------------------------------
+
+TEST(Pipeline, LookAheadStaysInRangeAndKeepsStageOrder) {
+  for (std::uint64_t depth : {1u, 2u, 4u}) {
+    for (std::uint64_t n : {0u, 1u, 2u, 3u, 4u, 7u, 8u, 9u, 16u, 17u, 100u}) {
+      // One event log: (stage, index), stage 0 = far, 1 = near, 2 = process.
+      std::vector<std::pair<int, std::uint64_t>> log;
+      pipeline(
+          n, depth, [&](std::uint64_t i) { log.push_back({0, i}); },
+          [&](std::uint64_t i) { log.push_back({1, i}); },
+          [&](std::uint64_t i) { log.push_back({2, i}); });
+      ASSERT_EQ(log.size(), 3 * n) << "n=" << n << " depth=" << depth;
+      std::vector<std::vector<std::size_t>> when(
+          3, std::vector<std::size_t>(n, log.size()));
+      for (std::size_t t = 0; t < log.size(); ++t) {
+        const auto [stage, i] = log[t];
+        ASSERT_LT(i, n);
+        EXPECT_EQ(when[stage][i], log.size()) << "stage " << stage
+                                              << " twice for item " << i;
+        when[stage][i] = t;
+      }
+      for (std::uint64_t i = 0; i < n; ++i) {
+        EXPECT_LT(when[0][i], when[1][i]);  // dictionary entry first
+        EXPECT_LT(when[1][i], when[2][i]);  // then the slab, then the probe
+        if (i > 0) EXPECT_LT(when[2][i - 1], when[2][i]);
+        // Full look-ahead wherever the span allows it.
+        if (i + depth < n) EXPECT_LT(when[1][i + depth], when[2][i]);
+        if (i + 2 * depth < n) EXPECT_LT(when[0][i + 2 * depth], when[2][i]);
+      }
+    }
+  }
+}
+
+TEST(Pipeline, LookAheadNeverCrossesALaunchRunsChunk) {
+  // Uneven runs so chunk ends fall at irregular run indices.
+  std::vector<std::uint64_t> offsets{0};
+  for (std::uint64_t r = 0; r < 500; ++r) {
+    offsets.push_back(offsets.back() + 1 + (r % 7 == 0 ? 40 : r % 3));
+  }
+  const std::uint64_t runs = offsets.size() - 1;
+  std::vector<std::atomic<int>> far(runs), near(runs), done(runs);
+  std::atomic<int> chunks{0};
+  launch_runs(offsets, [&](std::uint64_t first, std::uint64_t last) {
+    chunks.fetch_add(1);
+    pipeline(
+        last - first, 4,
+        [&](std::uint64_t i) {
+          ASSERT_LT(first + i, last);
+          far[first + i].fetch_add(1);
+        },
+        [&](std::uint64_t i) {
+          ASSERT_LT(first + i, last);
+          near[first + i].fetch_add(1);
+        },
+        [&](std::uint64_t i) { done[first + i].fetch_add(1); });
+  });
+  EXPECT_GT(chunks.load(), 1);
+  for (std::uint64_t r = 0; r < runs; ++r) {
+    EXPECT_EQ(far[r].load(), 1) << "run " << r;
+    EXPECT_EQ(near[r].load(), 1) << "run " << r;
+    EXPECT_EQ(done[r].load(), 1) << "run " << r;
+  }
+}
+
 }  // namespace
 }  // namespace sg::simt

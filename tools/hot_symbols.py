@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Prints the code size of the batch engine's hot symbols in two builds.
+
+    python3 tools/hot_symbols.py BUILD_A BUILD_B
+
+Each argument is a build directory holding the library archive (the repo
+build's libslabgraph.a or the benchmark build's libperfbench_slabgraph.a),
+or the path of an archive or object file. The script runs `nm -S -C` on
+both and prints, per hot symbol and policy, the bytes of code in each build
+and the difference. A symbol GCC inlined into its caller has no entry of
+its own and prints as "-". It gates nothing: code placement moves the
+benchmark (docs/PERF.md), and this table shows which hot bodies a change
+grew, shrank, split or inlined.
+"""
+import glob
+import os
+import re
+import subprocess
+import sys
+
+POLICY = r"sg::core::DynGraph<sg::core::(?P<policy>Map|Set)Policy>::"
+LAYOUT = r"sg::slabhash::SlabOps<sg::slabhash::(?P<policy>Map|Set)Layout>::"
+# A chunk body of launch_runs: the (first, last) lambda, out of line or
+# inlined into its std::function invoker.
+CHUNK = (r"\(.*\)(?: const)?::\{lambda\(unsigned long, unsigned long\)#1\}"
+         r"(?:::operator\(\)|>::_M_invoke)")
+
+# (label, regex over the demangled name). A label may match several
+# symbols (template instances, a function and its out-of-line lambda):
+# their sizes add up.
+HOT = [
+    ("stage_weighted_edges_shard",
+     r"^void sg::core::stage_weighted_edges_shard<.*" + POLICY),
+    ("stage_edges_shard", r"^void sg::core::stage_edges_shard<.*" + POLICY),
+    ("stage_queries_shard", r"^void sg::core::stage_queries_shard<.*" + POLICY),
+    ("run_epoch_pipeline (insert)",
+     r"^unsigned long " + POLICY + r"run_epoch_pipeline<.*insert_batched\("),
+    ("run_epoch_pipeline (erase)",
+     r"^unsigned long " + POLICY + r"run_epoch_pipeline<.*delete_batched\("),
+    ("run_epoch_pipeline (query)",
+     r"^unsigned long " + POLICY + r"run_epoch_pipeline<.*search_batched\("),
+    ("search_batched", r"^" + POLICY + r"search_batched\(.*\) const$"),
+    ("apply_mutation_runs chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
+     r"apply_mutation_runs" + CHUNK),
+    ("search_apply_runs chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
+     r"search_apply_runs" + CHUNK),
+    ("gather_neighbors", r"^" + POLICY +
+     r"gather_neighbors\(std::span<unsigned int const, \d+ul>, std::vector"),
+    ("gather_neighbors chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
+     r"gather_neighbors" + CHUNK),
+    ("SlabOps::bulk_insert", r"^" + LAYOUT + r"bulk_insert\("),
+    ("SlabOps::bulk_erase", r"^" + LAYOUT + r"bulk_erase\("),
+    ("SlabOps::bulk_search", r"^" + LAYOUT + r"bulk_search\("),
+]
+
+
+def archive_of(path):
+    if os.path.isfile(path):
+        return path
+    found = sorted(glob.glob(os.path.join(path, "lib*slabgraph.a")))
+    if not found:
+        sys.exit("hot_symbols: no lib*slabgraph.a under " + path)
+    return found[0]
+
+
+def sizes(path):
+    """{(label, policy): bytes} of the hot symbols in one build."""
+    out = subprocess.run(["nm", "-S", "-C", "--defined-only", archive_of(path)],
+                         capture_output=True, text=True, check=True).stdout
+    seen = set()  # weak symbols repeat in every object that emits them
+    table = {}
+    for line in out.splitlines():
+        parts = line.split(" ", 3)
+        if len(parts) != 4 or parts[2] not in "TtWw":
+            continue
+        size, name = int(parts[1], 16), parts[3]
+        if name in seen:
+            continue
+        seen.add(name)
+        for label, pattern in HOT:
+            m = re.search(pattern, name)
+            if m:
+                key = (label, m.group("policy"))
+                table[key] = table.get(key, 0) + size
+    return table
+
+
+def main():
+    if len(sys.argv) != 3:
+        sys.exit(__doc__.strip().splitlines()[2].strip())
+    a, b = sizes(sys.argv[1]), sizes(sys.argv[2])
+    print("| symbol | policy | A bytes | B bytes | B - A |")
+    print("|---|---|---:|---:|---:|")
+    for label, _ in HOT:
+        for policy in ("Map", "Set"):
+            key = (label, policy)
+            if key not in a and key not in b:
+                continue
+            sa, sb = a.get(key), b.get(key)
+            delta = "" if sa is None or sb is None else "%+d" % (sb - sa)
+            print("| %s | %s | %s | %s | %s |" % (
+                label, policy, "-" if sa is None else sa,
+                "-" if sb is None else sb, delta))
+    missing = [label for label, _ in HOT
+               if not any(k[0] == label for k in list(a) + list(b))]
+    if missing:
+        print("inlined in both builds: " + ", ".join(missing))
+
+
+if __name__ == "__main__":
+    main()
