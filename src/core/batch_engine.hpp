@@ -14,7 +14,10 @@
 //      tables (exclusive per shard: no lazy-creation mutex), and
 //      pre-hashing each key ONCE into its destination bucket. The loop
 //      prefetches the dictionary entry of the owned source
-//      kStagePrefetchDistance items ahead of its table lookup.
+//      kStagePrefetchDistance items ahead of its table lookup. One loop
+//      serves every shard count (one shard owns every vertex), and it
+//      reads tables straight from the VertexDictionary — creating them
+//      through the SlabArena only when staging an insert.
 //   2. GROUP (per-shard sort + scan) — stable-radix-sort the shard's
 //      queries by the packed (vertex, bucket) segment id
 //      (sort::radix_sort_hi with the hi OR/AND masks accumulated for free
@@ -52,6 +55,12 @@
 // searches of slice N — with results scattered to input positions through
 // the staged sequence numbers.
 //
+// Stages 1-2 and the epoch driver (stage_mutations_shard,
+// stage_queries_shard, stage_epoch, run_epoch_pipeline) know nothing of the
+// slab format: they are plain functions compiled once in batch_engine.cpp.
+// Only stage 3 calls the Policy's bulk operations, so only it is compiled
+// inside the DynGraph<Policy> template (dyn_graph_impl.hpp).
+//
 // The engine owns the run partition: a (table, bucket) pair appears in at
 // most one run per epoch, which is the exclusivity contract the bulk slab
 // operations rely on to share one EMPTY scan per slab.
@@ -65,11 +74,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "src/core/types.hpp"
+#include "src/core/vertex_dictionary.hpp"
 #include "src/memory/slab_arena.hpp"
 #include "src/slabhash/slab_layout.hpp"
 #include "src/sort/segmented_sort.hpp"
@@ -285,10 +296,6 @@ class ShardedStaging {
     return shards_.size() == 1 ? shards_[0] : merged_;
   }
 
-  std::uint64_t total_staged() const;
-  std::uint64_t total_dropped() const;
-  std::uint64_t total_duplicates() const;
-
   // ---- stage-window bookkeeping (pipeline overlap accounting) ----------
   /// Execution window of this buffer's last staging pass: recorded once
   /// by the (single) staging job after its shard fan-out joins, read by
@@ -331,200 +338,86 @@ struct BatchPipelineStats {
   std::uint64_t applied_total = 0;
 };
 
-/// Stage-1 helpers shared by DynGraph's batched paths. `table_of(src)`
-/// returns the source's table — creating it for insertions, returning an
-/// invalid ref to drop the query for erase/search on unknown sources. The
-/// sharded variants filter by vertex ownership, so `table_of` is only ever
-/// invoked from the one shard owning `src`: dictionary writes stay
-/// exclusive per vertex and need no lock even though shards run in
-/// parallel. `prefetch_of(src)` hints the dictionary entry `table_of` will
-/// read; the loops call it kStagePrefetchDistance items ahead, for owned
-/// sources only, so the entry's miss overlaps the hashing of the items in
-/// between. It must accept any id, known or not (VertexDictionary::prefetch).
-/// The unsharded wrapper stage_weighted_edges prefetches nothing: its
-/// callers stage against hand-built tables.
+// ---------------------------------------------------------------------------
+// Stage 1 and the epoch driver. Nothing here depends on the slab format, so
+// these are plain functions compiled once in batch_engine.cpp; only stage 3
+// (DynGraph::apply_mutation_runs / search_apply_runs) calls Policy.
+// ---------------------------------------------------------------------------
 
-template <typename PrefetchFn, typename TableFn>
-void stage_weighted_edges_shard(std::span<const WeightedEdge> edges,
-                                bool undirected, bool keep_weights,
-                                std::uint64_t seed, std::uint32_t shard,
-                                std::uint32_t num_shards,
-                                PrefetchFn&& prefetch_of, TableFn&& table_of,
-                                BatchStaging& st) {
-  st.clear();
-  st.reserve(edges.size() * (undirected ? 2 : 1) / num_shards + 16,
-             keep_weights);
-  const std::size_t n = edges.size();
-  if (num_shards == 1) {  // unsharded: keep the filter off the hot loop
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kStagePrefetchDistance < n) {
-        const WeightedEdge& ahead = edges[i + kStagePrefetchDistance];
-        prefetch_of(ahead.src);
-        if (undirected) prefetch_of(ahead.dst);
-      }
-      const WeightedEdge& e = edges[i];
-      if (e.src == e.dst) {  // self-loops drop (Algorithm 1 line 3)
-        ++st.dropped;
-        continue;
-      }
-      const slabhash::TableRef fwd = table_of(e.src);
-      if (fwd.valid()) {
-        st.push_weighted(e.src, e.dst, e.weight, fwd, seed, keep_weights);
-      } else {
-        ++st.dropped;
-      }
-      if (undirected) {  // mirror staged in place: no doubled temp batch
-        const slabhash::TableRef rev = table_of(e.dst);
-        if (rev.valid()) {
-          st.push_weighted(e.dst, e.src, e.weight, rev, seed, keep_weights);
-        } else {
-          ++st.dropped;
-        }
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kStagePrefetchDistance < n) {
-      const WeightedEdge& ahead = edges[i + kStagePrefetchDistance];
-      if (shard_of_vertex(ahead.src, num_shards) == shard) {
-        prefetch_of(ahead.src);
-      }
-      if (undirected && shard_of_vertex(ahead.dst, num_shards) == shard) {
-        prefetch_of(ahead.dst);
-      }
-    }
-    const WeightedEdge& e = edges[i];
-    if (e.src == e.dst) {  // self-loops drop (Algorithm 1 line 3)
-      if (shard_of_vertex(e.src, num_shards) == shard) ++st.dropped;
-      continue;
-    }
-    if (shard_of_vertex(e.src, num_shards) == shard) {
-      const slabhash::TableRef fwd = table_of(e.src);
-      if (fwd.valid()) {
-        st.push_weighted(e.src, e.dst, e.weight, fwd, seed, keep_weights);
-      } else {
-        ++st.dropped;
-      }
-    }
-    if (undirected && shard_of_vertex(e.dst, num_shards) == shard) {
-      // Mirror staged in place by the shard owning the reverse source.
-      const slabhash::TableRef rev = table_of(e.dst);
-      if (rev.valid()) {
-        st.push_weighted(e.dst, e.src, e.weight, rev, seed, keep_weights);
-      } else {
-        ++st.dropped;
-      }
-    }
-  }
-}
+/// Stages one shard of a mutation batch: every direction whose source the
+/// shard owns (both directions when `undirected`, mirrored in place), with
+/// self-loops dropped (Algorithm 1 line 3). The source's table comes from
+/// `dict`. With an `arena` this is the insert lookup: a source without a
+/// table gets a one-bucket table (§III-b) and a deleted source revives;
+/// `dict` must already cover every id of the batch. Without one it is the
+/// read-only erase lookup: sources past the dictionary capacity or without
+/// a table are counted in `dropped`. Only the shard owning a source looks
+/// it up, so table creation stays exclusive per vertex and needs no lock
+/// even though shards stage in parallel. The loop prefetches the owned
+/// sources' dictionary entries kStagePrefetchDistance items ahead.
+/// `keep_weights` stages WeightedEdge weights for the map values.
+/// Instantiated for Edge and WeightedEdge.
+template <typename EdgeT>
+void stage_mutations_shard(std::span<const EdgeT> edges, bool undirected,
+                           bool keep_weights, std::uint64_t seed,
+                           std::uint32_t shard, std::uint32_t num_shards,
+                           VertexDictionary& dict, memory::SlabArena* arena,
+                           BatchStaging& st);
 
-template <typename TableFn>
-void stage_weighted_edges(std::span<const WeightedEdge> edges, bool undirected,
-                          bool keep_weights, std::uint64_t seed,
-                          TableFn&& table_of, BatchStaging& st) {
-  stage_weighted_edges_shard(edges, undirected, keep_weights, seed, 0, 1,
-                             [](VertexId) {}, std::forward<TableFn>(table_of),
-                             st);
-}
-
-template <typename PrefetchFn, typename TableFn>
-void stage_edges_shard(std::span<const Edge> edges, bool undirected,
-                       std::uint64_t seed, std::uint32_t shard,
-                       std::uint32_t num_shards, PrefetchFn&& prefetch_of,
-                       TableFn&& table_of, BatchStaging& st) {
-  st.clear();
-  st.reserve(edges.size() * (undirected ? 2 : 1) / num_shards + 16, false);
-  const std::size_t n = edges.size();
-  if (num_shards == 1) {  // unsharded fast path
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i + kStagePrefetchDistance < n) {
-        const Edge& ahead = edges[i + kStagePrefetchDistance];
-        prefetch_of(ahead.src);
-        if (undirected) prefetch_of(ahead.dst);
-      }
-      const Edge& e = edges[i];
-      const slabhash::TableRef fwd = table_of(e.src);
-      if (fwd.valid()) {
-        st.push(e.src, e.dst, fwd, seed);
-      } else {
-        ++st.dropped;
-      }
-      if (undirected) {
-        const slabhash::TableRef rev = table_of(e.dst);
-        if (rev.valid()) {
-          st.push(e.dst, e.src, rev, seed);
-        } else {
-          ++st.dropped;
-        }
-      }
-    }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kStagePrefetchDistance < n) {
-      const Edge& ahead = edges[i + kStagePrefetchDistance];
-      if (shard_of_vertex(ahead.src, num_shards) == shard) {
-        prefetch_of(ahead.src);
-      }
-      if (undirected && shard_of_vertex(ahead.dst, num_shards) == shard) {
-        prefetch_of(ahead.dst);
-      }
-    }
-    const Edge& e = edges[i];
-    if (shard_of_vertex(e.src, num_shards) == shard) {
-      const slabhash::TableRef fwd = table_of(e.src);
-      if (fwd.valid()) {
-        st.push(e.src, e.dst, fwd, seed);
-      } else {
-        ++st.dropped;
-      }
-    }
-    if (undirected && shard_of_vertex(e.dst, num_shards) == shard) {
-      const slabhash::TableRef rev = table_of(e.dst);
-      if (rev.valid()) {
-        st.push(e.dst, e.src, rev, seed);
-      } else {
-        ++st.dropped;
-      }
-    }
-  }
-}
-
-/// Stage queries that must scatter results back to their input position:
-/// the staged sequence number IS the original index of the query (one
-/// staged query per input at most; dropped inputs simply have no staged
-/// query, so the caller's output stays 0 there). Sharded: each query is
-/// staged by the shard owning its source. `seq_base` offsets the staged
-/// sequence numbers — epoch-pipelined query batches stage sub-spans, and
-/// results must still scatter to GLOBAL input positions.
-template <typename PrefetchFn, typename TableFn>
+/// Stages one shard of a query batch whose results scatter back to input
+/// positions: the staged sequence number is `seq_base` plus the query's
+/// index (epoch-pipelined batches stage sub-spans, and results must still
+/// land at GLOBAL input positions). Read-only lookup as above: a query on
+/// an unknown source is dropped, and the caller's output stays 0 there.
 void stage_queries_shard(std::span<const Edge> queries, std::uint64_t seed,
                          std::uint32_t shard, std::uint32_t num_shards,
-                         PrefetchFn&& prefetch_of, TableFn&& table_of,
-                         BatchStaging& st, std::uint32_t seq_base = 0) {
-  st.clear();
-  st.reserve(queries.size() / num_shards + 16, false);
-  const std::size_t n = queries.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i + kStagePrefetchDistance < n) {
-      const VertexId ahead = queries[i + kStagePrefetchDistance].src;
-      if (num_shards == 1 || shard_of_vertex(ahead, num_shards) == shard) {
-        prefetch_of(ahead);
-      }
-    }
-    const Edge& q = queries[i];
-    if (num_shards != 1 && shard_of_vertex(q.src, num_shards) != shard) {
-      continue;
-    }
-    const slabhash::TableRef table = table_of(q.src);
-    if (table.valid()) {
-      st.push_seq(q.src, q.dst, table, seed,
-                  seq_base + static_cast<std::uint32_t>(i));
-    } else {
-      ++st.dropped;  // unknown source: the caller's output stays 0
-    }
-  }
-}
+                         const VertexDictionary& dict, BatchStaging& st,
+                         std::uint32_t seq_base = 0);
+
+/// What one epoch's staging pass groups for. Mutations dedup (most recent
+/// occurrence wins) and carry the kStageJob fault site; queries keep every
+/// occurrence and gather sequence numbers for the result scatter.
+enum class StageKind { kMutation, kQuery };
+
+/// Stages shard `shard` of an epoch into `st` (one call per shard).
+using ShardStageStep =
+    std::function<void(std::uint32_t shard, BatchStaging& st)>;
+
+/// One epoch's staging pass: runs `stage_shard` for every shard in
+/// parallel, groups each shard (fused single-pass group() for a lone
+/// shard, group_prepare() otherwise), finalizes the shards into the one
+/// run list front() exposes and records the pass's window. `gather_values`
+/// carries staged weights into the run list (map inserts).
+void stage_epoch(ShardedStaging& buf, std::uint32_t shards, StageKind kind,
+                 bool gather_values, const ShardStageStep& stage_shard);
+
+/// Stages input items [begin, end) into `buf` on `shards` shards.
+using EpochStageStep =
+    std::function<void(ShardedStaging& buf, std::uint64_t begin,
+                       std::uint64_t end, std::uint32_t shards)>;
+/// Consumes one staged epoch; returns its contribution to the total.
+using EpochApplyStep =
+    std::function<std::uint64_t(const BatchStaging& front, bool overlapped)>;
+
+/// The double-buffered epoch driver shared by the mutation AND query
+/// pipelines: plans epochs from `pipeline_epoch_edges`
+/// (GraphConfig::pipeline_epoch_edges; 0 = auto) and the pool width,
+/// stages epoch 0 synchronously, then alternates apply(epoch e) with a
+/// single-chunk background job staging epoch e+1, fencing on the job
+/// before the buffer swap and folding the stage/apply window intersection
+/// into `stats`. Each step runs once per epoch. Shards per epoch come
+/// from `stage_shards` (GraphConfig::stage_shards, rounded up to a power
+/// of two; 0 = auto) and the epoch's staged queries, which
+/// `stage_items_factor` scales from input items (2 when undirected
+/// mutations mirror in place). A MutationAbort from `apply` leaves as a
+/// PipelineAbort carrying the failing epoch's input bounds.
+std::uint64_t run_epoch_pipeline(std::uint64_t num_items,
+                                 std::uint32_t stage_items_factor,
+                                 std::uint32_t pipeline_epoch_edges,
+                                 std::uint32_t stage_shards,
+                                 ShardedStaging* cur, ShardedStaging* nxt,
+                                 BatchPipelineStats& stats,
+                                 const EpochStageStep& stage,
+                                 const EpochApplyStep& apply);
 
 }  // namespace sg::core

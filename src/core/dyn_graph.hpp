@@ -505,12 +505,6 @@ class DynGraph {
   /// slabs per bucket). Called after an insert batch commits, under
   /// batch_mutex_.
   void maybe_auto_rehash();
-  /// `u`'s table, or an invalid TableRef when `u` has none: the read-only
-  /// table lookup of the erase and query staging passes.
-  slabhash::TableRef existing_table(VertexId u) const {
-    return u < dict_.capacity() && dict_.has_table(u) ? dict_.table(u)
-                                                      : slabhash::TableRef{};
-  }
   /// Creates the phase scheduler on first use (thread-safe; the conductor
   /// thread is only ever paid by graphs that actually submit).
   PhaseScheduler& ensure_scheduler();
@@ -542,36 +536,6 @@ class DynGraph {
   /// threshold.
   std::uint64_t apply_mutation_runs(const BatchStaging& staged, bool erase,
                                     bool overlapped);
-  /// The double-buffered epoch driver shared by the mutation AND query
-  /// pipelines: plans epochs from config and pool width, stages slice 0
-  /// synchronously, then alternates apply(slice e) with a single-chunk
-  /// background job staging slice e+1, fencing on the job before the
-  /// buffer swap and folding the stage/apply window intersection into
-  /// `stats`. `stage_epoch(buf, begin, end, shards)` stages + groups +
-  /// finalizes one input sub-span into `buf` (recording its window);
-  /// `apply(front, overlapped)` consumes one staged slice and returns its
-  /// contribution to the total. `stage_items_factor` scales epoch size to
-  /// staged queries for the shard-count heuristic (2 when undirected
-  /// mutations mirror in place).
-  template <typename StageEpochFn, typename ApplyFn>
-  std::uint64_t run_epoch_pipeline(std::uint64_t num_items,
-                                   std::uint32_t stage_items_factor,
-                                   ShardedStaging* cur, ShardedStaging* nxt,
-                                   BatchPipelineStats& stats,
-                                   StageEpochFn&& stage_epoch,
-                                   ApplyFn&& apply) const;
-  /// The mutation pipeline over the member double buffer:
-  /// stage_shard(epoch_span_begin, epoch_span_end, shard, num_shards, out)
-  /// stages one shard of one epoch sub-span of the input batch.
-  template <typename StageShardFn>
-  std::uint64_t run_mutation_pipeline(std::uint64_t num_edges,
-                                      bool gather_values, bool erase,
-                                      StageShardFn&& stage_shard);
-  /// Stage shards resolved from config, pool width, and batch size (power
-  /// of two): auto mode caps shards so each stages a worthwhile slice —
-  /// every shard scans the whole input, so slicing a small batch N ways
-  /// costs more in duplicate scanning than the parallel sort returns.
-  std::uint32_t stage_shard_count(std::uint64_t items) const;
   /// Rebuilds `u`'s table if its expected chain exceeds the threshold.
   bool maybe_rehash_table(VertexId u, double slabs_per_bucket);
   /// Rebuilds `u`'s table at `buckets` buckets: move live keys, free the

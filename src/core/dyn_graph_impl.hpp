@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <stdexcept>
 #include <type_traits>
 #include <unordered_set>
@@ -22,8 +21,6 @@
 #include "src/persist/snapshot.hpp"
 #include "src/simt/atomics.hpp"
 #include "src/simt/grid.hpp"
-#include "src/simt/thread_pool.hpp"
-#include "src/util/fault_injection.hpp"
 
 namespace sg::core {
 
@@ -273,22 +270,6 @@ std::uint64_t DynGraph<Policy>::insert_edges(std::span<const WeightedEdge> edges
 // staging overlaps the previous epoch's apply on the shared thread pool.
 // --------------------------------------------------------------------------
 
-template <class Policy>
-std::uint32_t DynGraph<Policy>::stage_shard_count(std::uint64_t items) const {
-  std::uint32_t shards = config_.stage_shards;
-  if (shards == 0) {
-    const unsigned workers = simt::ThreadPool::instance().size();
-    shards = workers > 1 ? std::bit_ceil(workers) : 1u;
-    // Auto mode: each shard re-scans the whole input, so don't slice a
-    // batch thinner than ~16K staged queries per shard.
-    constexpr std::uint64_t kMinItemsPerShard = 16384;
-    while (shards > 1 && items / shards < kMinItemsPerShard) shards /= 2;
-  } else {
-    shards = std::bit_ceil(shards);
-  }
-  return shards > kMaxStageShards ? kMaxStageShards : shards;
-}
-
 /// Packs a directed pair for the unapplied-set membership tests below.
 inline std::uint64_t edge_key(VertexId src, VertexId dst) {
   return (static_cast<std::uint64_t>(src) << 32) | dst;
@@ -344,196 +325,30 @@ std::vector<Edge> unapplied_from_epoch(std::span<const EdgeT> edges,
   return unapplied;
 }
 
-/// Steady-clock nanoseconds (the pipeline window timestamps).
-inline std::int64_t pipeline_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-template <class Policy>
-template <typename StageEpochFn, typename ApplyFn>
-std::uint64_t DynGraph<Policy>::run_epoch_pipeline(
-    std::uint64_t num_items, std::uint32_t stage_items_factor,
-    ShardedStaging* cur, ShardedStaging* nxt, BatchPipelineStats& stats,
-    StageEpochFn&& stage_epoch, ApplyFn&& apply) const {
-  stats = {};
-  if (num_items == 0) return 0;
-  auto& pool = simt::ThreadPool::instance();
-
-  // Epoch plan: auto mode pipelines only when spare threads exist and the
-  // batch is large enough to amortize the split; an explicit epoch size
-  // always splits (tests drive the degenerate inline pipeline through it).
-  std::uint64_t epoch_items;
-  bool split;
-  if (config_.pipeline_epoch_edges != 0) {
-    epoch_items = config_.pipeline_epoch_edges;
-    split = num_items > epoch_items;
-  } else {
-    epoch_items = std::uint64_t{1} << 15;
-    split = pool.size() > 0 && num_items > epoch_items + epoch_items / 2;
-  }
-  if (!split) epoch_items = num_items;
-  const std::uint64_t num_epochs = (num_items + epoch_items - 1) / epoch_items;
-  // Shards sized to one epoch's staged queries (each epoch stages anew).
-  const std::uint32_t shards =
-      stage_shard_count(epoch_items * stage_items_factor);
-
-  stats.epochs = static_cast<std::uint32_t>(num_epochs);
-  stats.shards = shards;
-  stats.epoch_items = epoch_items;
-  cur->resize(shards);
-  nxt->resize(shards);
-
-  // Epoch 0 stages synchronously (nothing to overlap with yet). Later
-  // epochs stage as a single-chunk background job whose nested
-  // parallel_for shares the pool with apply — staging an epoch early is
-  // safe because apply never changes what staging reads: bucket counts,
-  // table handles, and liveness of vertices the earlier epoch did not
-  // create. A pool with no workers runs the job inline at submit: the
-  // degenerate (serial) pipeline.
-  {
-    const std::int64_t t0 = pipeline_now_ns();
-    stage_epoch(cur, 0, epoch_items < num_items ? epoch_items : num_items,
-                shards);
-    stats.stage_seconds +=
-        static_cast<double>(pipeline_now_ns() - t0) * 1e-9;
-  }
-
-  std::uint64_t total = 0;
-  for (std::uint64_t e = 0; e < num_epochs; ++e) {
-    simt::ThreadPool::JobHandle job;
-    const std::uint64_t next_begin = (e + 1) * epoch_items;
-    if (next_begin < num_items) {
-      const std::uint64_t next_end =
-          next_begin + epoch_items < num_items ? next_begin + epoch_items
-                                               : num_items;
-      job = pool.submit(1, [&stage_epoch, nxt, next_begin, next_end,
-                            shards](std::uint64_t) {
-        stage_epoch(nxt, next_begin, next_end, shards);
-      });
-    }
-    const std::int64_t apply_begin = pipeline_now_ns();
-    try {
-      total += apply(cur->front(), /*overlapped=*/job != nullptr);
-    } catch (MutationAbort& abort) {
-      // The apply stage died mid-epoch (arena exhaustion / injected
-      // fault). Wait out the staging job, then hand the caller the failing
-      // epoch's exact outcome plus its input bounds so it can extend the
-      // unapplied set with every later epoch's raw input.
-      if (job) {
-        try {
-          pool.wait(job);
-        } catch (...) {
-        }
-      }
-      const std::uint64_t end_item =
-          next_begin < num_items ? next_begin : num_items;
-      throw PipelineAbort{std::move(abort), e * epoch_items, end_item, total};
-    } catch (...) {
-      if (job) {
-        try {
-          pool.wait(job);  // never unwind past an in-flight staging job
-        } catch (...) {
-        }
-      }
-      throw;
-    }
-    const std::int64_t apply_end = pipeline_now_ns();
-    ++stats.epochs_applied;
-    stats.applied_total = total;
-    stats.apply_seconds +=
-        static_cast<double>(apply_end - apply_begin) * 1e-9;
-    if (job) {
-      pool.wait(job);  // the epoch fence: stage(e+1) committed, apply(e) done
-      const std::int64_t stage_begin = nxt->window_begin_ns();
-      const std::int64_t stage_end = nxt->window_end_ns();
-      if (stage_end > stage_begin) {
-        stats.stage_seconds +=
-            static_cast<double>(stage_end - stage_begin) * 1e-9;
-        const std::int64_t lo =
-            stage_begin > apply_begin ? stage_begin : apply_begin;
-        const std::int64_t hi = stage_end < apply_end ? stage_end : apply_end;
-        if (hi > lo) {
-          stats.overlap_seconds += static_cast<double>(hi - lo) * 1e-9;
-        }
-      }
-      std::swap(cur, nxt);
-    }
-  }
-  return total;
-}
-
-template <class Policy>
-template <typename StageShardFn>
-std::uint64_t DynGraph<Policy>::run_mutation_pipeline(
-    std::uint64_t num_edges, bool gather_values, bool erase,
-    StageShardFn&& stage_shard) {
-  auto& pool = simt::ThreadPool::instance();
-  // One epoch's full staging pass: stage + group every shard of the
-  // epoch's input sub-span in parallel (two-pass count/place when sharded,
-  // fused single-pass otherwise), then finalize the shard outputs into
-  // the one run list apply consumes — merge-free, so NO work is left for
-  // the fence bubble.
-  const auto stage_epoch = [&, gather_values](ShardedStaging* buf,
-                                              std::uint64_t begin,
-                                              std::uint64_t end,
-                                              std::uint32_t shards) {
-    SG_FAULT_DELAY(kStageJob);
-    if (SG_FAULT_FIRE(kStageJob)) {
-      throw std::runtime_error("slabgraph: injected stage-job fault");
-    }
-    const std::int64_t t0 = pipeline_now_ns();
-    pool.parallel_for(shards, [&, buf, begin, end, shards](std::uint64_t s) {
-      BatchStaging& st = buf->shard(static_cast<std::uint32_t>(s));
-      stage_shard(begin, end, static_cast<std::uint32_t>(s), shards, st);
-      if (shards == 1) {
-        // No assembly needed: fused single-pass grouping, no count pass.
-        st.group(/*dedup=*/true, gather_values, /*gather_seqs=*/false);
-      } else {
-        st.group_prepare(/*dedup=*/true);
-      }
-    });
-    buf->finalize(gather_values, /*gather_seqs=*/false);
-    buf->window_note(t0, pipeline_now_ns());
-  };
-  return run_epoch_pipeline(
-      num_edges, config_.undirected ? 2u : 1u, &staging_bufs_[0],
-      &staging_bufs_[1], pipeline_stats_, stage_epoch,
-      [&](const BatchStaging& front, bool overlapped) {
-        return apply_mutation_runs(front, erase, overlapped);
-      });
-}
-
 template <class Policy>
 std::uint64_t DynGraph<Policy>::insert_batched(
     std::span<const WeightedEdge> edges) {
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   rehash_due_.clear();  // notes of an aborted batch are never acted on
-  // First-touch table creation needs no lazy-creation mutex even though
-  // shards stage in parallel: the shard owning a vertex is the only one
-  // that ever calls table_of for it.
-  const auto prefetch_of = [this](VertexId u) { dict_.prefetch(u); };
-  const auto table_of = [this](VertexId u) {
-    if (!dict_.has_table(u)) {
-      const memory::SlabHandle base =
-          arena_.allocate_contiguous(1, slabhash::kEmptyKey);
-      dict_.set_table(u, {base, 1});
-      dict_.set_edge_count(u, 0);
-    }
-    if (dict_.deleted(u)) dict_.set_deleted(u, false);  // source revival
-    return dict_.table(u);
-  };
   std::uint64_t added = 0;
   try {
-    added = run_mutation_pipeline(
-        edges.size(), /*gather_values=*/Policy::kHasValues, /*erase=*/false,
-        [&](std::uint64_t begin, std::uint64_t end, std::uint32_t shard,
-            std::uint32_t num_shards, BatchStaging& st) {
-          stage_weighted_edges_shard(edges.subspan(begin, end - begin),
-                                     config_.undirected, Policy::kHasValues,
-                                     config_.hash_seed, shard, num_shards,
-                                     prefetch_of, table_of, st);
+    added = run_epoch_pipeline(
+        edges.size(), config_.undirected ? 2u : 1u,
+        config_.pipeline_epoch_edges, config_.stage_shards, &staging_bufs_[0],
+        &staging_bufs_[1], pipeline_stats_,
+        [&](ShardedStaging& buf, std::uint64_t begin, std::uint64_t end,
+            std::uint32_t shards) {
+          stage_epoch(buf, shards, StageKind::kMutation, Policy::kHasValues,
+                      [&](std::uint32_t shard, BatchStaging& st) {
+                        stage_mutations_shard(
+                            edges.subspan(begin, end - begin),
+                            config_.undirected, Policy::kHasValues,
+                            config_.hash_seed, shard, shards, dict_, &arena_,
+                            st);
+                      });
+        },
+        [&](const BatchStaging& front, bool overlapped) {
+          return apply_mutation_runs(front, /*erase=*/false, overlapped);
         });
   } catch (PipelineAbort& abort) {
     // Arena exhaustion mid-apply: committed epochs stay applied, counters
@@ -577,17 +392,26 @@ std::uint64_t DynGraph<Policy>::insert_batched(
 template <class Policy>
 std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  const auto prefetch_of = [this](VertexId u) { dict_.prefetch(u); };
-  const auto table_of = [this](VertexId u) { return existing_table(u); };
   std::uint64_t removed = 0;
   try {
-    removed = run_mutation_pipeline(
-        edges.size(), /*gather_values=*/false, /*erase=*/true,
-        [&](std::uint64_t begin, std::uint64_t end, std::uint32_t shard,
-            std::uint32_t num_shards, BatchStaging& st) {
-          stage_edges_shard(edges.subspan(begin, end - begin),
-                            config_.undirected, config_.hash_seed, shard,
-                            num_shards, prefetch_of, table_of, st);
+    removed = run_epoch_pipeline(
+        edges.size(), config_.undirected ? 2u : 1u,
+        config_.pipeline_epoch_edges, config_.stage_shards, &staging_bufs_[0],
+        &staging_bufs_[1], pipeline_stats_,
+        [&](ShardedStaging& buf, std::uint64_t begin, std::uint64_t end,
+            std::uint32_t shards) {
+          stage_epoch(buf, shards, StageKind::kMutation,
+                      /*gather_values=*/false,
+                      [&](std::uint32_t shard, BatchStaging& st) {
+                        stage_mutations_shard(
+                            edges.subspan(begin, end - begin),
+                            config_.undirected, /*keep_weights=*/false,
+                            config_.hash_seed, shard, shards, dict_,
+                            /*arena=*/nullptr, st);
+                      });
+        },
+        [&](const BatchStaging& front, bool overlapped) {
+          return apply_mutation_runs(front, /*erase=*/true, overlapped);
         });
   } catch (const std::bad_alloc&) {
     throw;  // host heap exhausted: building a partial report could too
@@ -814,47 +638,32 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
   if (weights_out != nullptr) {
     std::fill(weights_out, weights_out + queries.size(), Weight{0});
   }
-  auto& pool = simt::ThreadPool::instance();
   if (queries.empty()) return;
 
   // Queries are phase-concurrent with each other, so each batch pipelines
   // independently through LOCAL staging buffers (the double-buffered
-  // members belong to the mutation phase).
+  // members belong to the mutation phase). Staging a slice ahead of the
+  // current slice's searches is safe: queries never mutate what staging
+  // reads.
   ShardedStaging bufs[2];
-  const auto prefetch_of = [this](VertexId u) { dict_.prefetch(u); };
-  const auto table_of = [this](VertexId u) { return existing_table(u); };
-  // One query slice's staging pass, with the staged sequence numbers
-  // offset to GLOBAL input positions so scatter lands correctly. Safe to
-  // run ahead of the current slice's searches: queries never mutate what
-  // staging reads.
-  const auto stage_epoch = [&](ShardedStaging* buf, std::uint64_t begin,
-                               std::uint64_t end, std::uint32_t shards) {
-    const std::int64_t t0 = pipeline_now_ns();
-    pool.parallel_for(shards, [&, buf, begin, end, shards](std::uint64_t s) {
-      BatchStaging& st = buf->shard(static_cast<std::uint32_t>(s));
-      stage_queries_shard(queries.subspan(begin, end - begin),
-                          config_.hash_seed, static_cast<std::uint32_t>(s),
-                          shards, prefetch_of, table_of, st,
-                          static_cast<std::uint32_t>(begin));
-      if (shards == 1) {
-        st.group(/*dedup=*/false, /*gather_values=*/false,
-                 /*gather_seqs=*/true);
-      } else {
-        st.group_prepare(/*dedup=*/false);
-      }
-    });
-    buf->finalize(/*gather_values=*/false, /*gather_seqs=*/true);
-    buf->window_note(t0, pipeline_now_ns());
-  };
-
   BatchPipelineStats stats;
-  run_epoch_pipeline(queries.size(), 1u, &bufs[0], &bufs[1], stats,
-                     stage_epoch,
-                     [&](const BatchStaging& front, bool overlapped) {
-                       search_apply_runs(front, found_out, weights_out,
-                                         overlapped);
-                       return std::uint64_t{0};
-                     });
+  run_epoch_pipeline(
+      queries.size(), 1u, config_.pipeline_epoch_edges, config_.stage_shards,
+      &bufs[0], &bufs[1], stats,
+      [&](ShardedStaging& buf, std::uint64_t begin, std::uint64_t end,
+          std::uint32_t shards) {
+        stage_epoch(buf, shards, StageKind::kQuery, /*gather_values=*/false,
+                    [&](std::uint32_t shard, BatchStaging& st) {
+                      stage_queries_shard(queries.subspan(begin, end - begin),
+                                          config_.hash_seed, shard, shards,
+                                          dict_, st,
+                                          static_cast<std::uint32_t>(begin));
+                    });
+      },
+      [&](const BatchStaging& front, bool overlapped) {
+        search_apply_runs(front, found_out, weights_out, overlapped);
+        return std::uint64_t{0};
+      });
   {
     std::lock_guard<std::mutex> lock(query_stats_mutex_);
     query_stats_ = stats;

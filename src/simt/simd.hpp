@@ -13,9 +13,8 @@
 //     (SSE2/NEON) or unrolls; also the reference for differential tests.
 //
 // The backend is chosen at runtime: AVX2 when compiled in, unless
-// SG_PORTABLE_PROBE=1 is set in the environment or set_probe_backend()
-// forces the portable path (the differential test drives both in one
-// process).
+// set_probe_backend() forces the portable path (the differential test and
+// micro_probe drive both in one process).
 //
 // Reads are plain (non-atomic) vector loads, exactly like the GPU's
 // non-atomic warp-wide slab read: safe under the paper's phase-concurrent
@@ -28,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/memory/slab_arena.hpp"
@@ -53,17 +51,7 @@ enum class ProbeBackend : int { kSimd = 0, kPortable = 1 };
 
 namespace detail {
 
-/// -1 = not yet resolved from the environment.
-inline std::atomic<int> g_probe_backend{-1};
-
-inline int resolve_probe_backend() noexcept {
-  const char* env = std::getenv("SG_PORTABLE_PROBE");
-  const int backend = (env != nullptr && env[0] != '\0' && env[0] != '0')
-                          ? static_cast<int>(ProbeBackend::kPortable)
-                          : static_cast<int>(ProbeBackend::kSimd);
-  g_probe_backend.store(backend, std::memory_order_relaxed);
-  return backend;
-}
+inline std::atomic<int> g_probe_backend{static_cast<int>(ProbeBackend::kSimd)};
 
 }  // namespace detail
 
@@ -77,9 +65,8 @@ inline void set_probe_backend(ProbeBackend backend) noexcept {
 /// True when probes will execute the AVX2 path.
 inline bool probe_uses_simd() noexcept {
 #if defined(__AVX2__)
-  int backend = detail::g_probe_backend.load(std::memory_order_relaxed);
-  if (backend < 0) backend = detail::resolve_probe_backend();
-  return backend == static_cast<int>(ProbeBackend::kSimd);
+  return detail::g_probe_backend.load(std::memory_order_relaxed) ==
+         static_cast<int>(ProbeBackend::kSimd);
 #else
   return false;
 #endif

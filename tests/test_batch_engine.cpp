@@ -146,9 +146,12 @@ void run_differential(bool undirected, std::uint64_t seed) {
     expect_matches_model(engine, model);
     alg1.expect_matches_model(model);
 
-    const std::vector<Edge> erases = pairs_of(
+    std::vector<Edge> erases = pairs_of(
         round % 2 == 0 ? skewed_batch(seed + 100 + round, 250, 180)
                        : random_batch(seed + 100 + round, 250, 180));
+    // Self-loops are never stored: erase staging drops them, and they
+    // change neither the removed count nor the graph.
+    for (const VertexId u : {0u, 3u, 179u, 3u}) erases.push_back({u, u});
     const std::uint64_t removed = model.erase(erases);
     EXPECT_EQ(engine.delete_edges(erases), removed);
     EXPECT_EQ(alg1.erase(erases), removed);
@@ -211,16 +214,32 @@ TEST(BatchEngineDifferential, MostRecentDuplicateWinsDeterministically) {
 // Staging / grouping unit tests
 // ---------------------------------------------------------------------------
 
+/// A dictionary of `capacity` vertices in which each of `sources` owns a
+/// `buckets`-bucket table.
+VertexDictionary dictionary_with_tables(memory::SlabArena& arena,
+                                        std::uint32_t capacity,
+                                        std::initializer_list<VertexId> sources,
+                                        std::uint32_t buckets) {
+  VertexDictionary dict(capacity);
+  for (const VertexId u : sources) {
+    dict.set_table(
+        u, {arena.allocate_contiguous(buckets, slabhash::kEmptyKey), buckets});
+  }
+  return dict;
+}
+
 TEST(BatchStaging, GroupsDedupsAndPreservesRunOrder) {
+  memory::SlabArena arena;
+  VertexDictionary dict = dictionary_with_tables(arena, 8, {1, 3}, 8);
   BatchStaging st;
-  const slabhash::TableRef table{0, 8};  // hashing only needs num_buckets
   const std::uint64_t seed = 42;
   std::vector<WeightedEdge> edges = {
       {3, 7, 10}, {1, 7, 11}, {3, 7, 12}, {3, 3, 99},  // self-loop drops
       {1, 9, 13}, {3, 7, 14},
   };
-  stage_weighted_edges(edges, /*undirected=*/false, /*keep_weights=*/true,
-                       seed, [&](VertexId) { return table; }, st);
+  stage_mutations_shard<WeightedEdge>(edges, /*undirected=*/false,
+                                      /*keep_weights=*/true, seed, 0, 1, dict,
+                                      /*arena=*/nullptr, st);
   EXPECT_EQ(st.staged, 5u);
   EXPECT_EQ(st.dropped, 1u);
   st.group(/*dedup=*/true, /*gather_values=*/true, /*gather_seqs=*/false);
@@ -233,8 +252,7 @@ TEST(BatchStaging, GroupsDedupsAndPreservesRunOrder) {
   for (std::size_t r = 0; r < st.runs.size(); ++r) {
     if (r > 0) EXPECT_LE(st.runs[r - 1].src, st.runs[r].src);
     for (std::uint64_t i = st.run_offsets[r]; i < st.run_offsets[r + 1]; ++i) {
-      EXPECT_EQ(st.runs[r].bucket,
-                slabhash::bucket_of(st.keys[i], table.num_buckets, seed));
+      EXPECT_EQ(st.runs[r].bucket, slabhash::bucket_of(st.keys[i], 8, seed));
       kept[{st.runs[r].src, st.keys[i]}] = st.values[i];
     }
   }
@@ -245,17 +263,80 @@ TEST(BatchStaging, GroupsDedupsAndPreservesRunOrder) {
 }
 
 TEST(BatchStaging, UndirectedStagesBothDirectionsInPlace) {
+  memory::SlabArena arena;
+  VertexDictionary dict = dictionary_with_tables(arena, 4, {1, 2}, 1);
   BatchStaging st;
-  const slabhash::TableRef table{0, 1};
   std::vector<WeightedEdge> edges = {{1, 2, 5}, {2, 1, 6}};
-  stage_weighted_edges(edges, /*undirected=*/true, /*keep_weights=*/true, 1,
-                       [&](VertexId) { return table; }, st);
+  stage_mutations_shard<WeightedEdge>(edges, /*undirected=*/true,
+                                      /*keep_weights=*/true, 1, 0, 1, dict,
+                                      /*arena=*/nullptr, st);
   EXPECT_EQ(st.staged, 4u);
   st.group(true, true, false);
   // (1,2) and (2,1) both appear twice across the mirror; each dedups to
   // the most recent weight.
   EXPECT_EQ(st.duplicates, 2u);
   EXPECT_EQ(st.keys.size(), 2u);
+}
+
+TEST(BatchStaging, InsertStagingCreatesAndRevivesOwnedSources) {
+  // With an arena, stage 1 is the insert lookup: an unknown source gets a
+  // one-bucket table (§III-b), a deleted source revives and keeps its
+  // table, and only the shard owning a source creates its table.
+  memory::SlabArena arena;
+  VertexDictionary dict = dictionary_with_tables(arena, 16, {4}, 4);
+  dict.set_edge_count(4, 3);
+  dict.set_deleted(4, true);
+  const std::vector<WeightedEdge> edges = {{6, 9, 1}, {4, 9, 2}, {7, 2, 3}};
+  BatchStaging even;
+  stage_mutations_shard<WeightedEdge>(edges, /*undirected=*/false,
+                                      /*keep_weights=*/true, 5, 0, 2, dict,
+                                      &arena, even);
+  EXPECT_EQ(even.staged, 2u);
+  EXPECT_EQ(even.dropped, 0u);
+  ASSERT_TRUE(dict.has_table(6));
+  EXPECT_EQ(dict.table(6).num_buckets, 1u);
+  EXPECT_EQ(dict.edge_count(6), 0u);
+  EXPECT_FALSE(dict.deleted(4));
+  EXPECT_EQ(dict.table(4).num_buckets, 4u);
+  EXPECT_EQ(dict.edge_count(4), 3u);
+  EXPECT_FALSE(dict.has_table(7));  // odd: shard 1's vertex, untouched
+  BatchStaging odd;
+  stage_mutations_shard<WeightedEdge>(edges, false, true, 5, 1, 2, dict,
+                                      &arena, odd);
+  EXPECT_EQ(odd.staged, 1u);
+  ASSERT_TRUE(dict.has_table(7));
+  EXPECT_EQ(dict.table(7).num_buckets, 1u);
+  EXPECT_FALSE(dict.has_table(9));  // destinations get no table
+}
+
+TEST(BatchStaging, ReadOnlyStagingDropsUnknownSources) {
+  // Without an arena (erase) and for queries, stage 1 only reads: sources
+  // without a table, past the dictionary capacity, and self-loops drop and
+  // are counted, and the dictionary is left as it was.
+  memory::SlabArena arena;
+  VertexDictionary dict = dictionary_with_tables(arena, 8, {2}, 1);
+  const std::vector<Edge> edges = {
+      {2, 5}, {3, 5}, {100, 5}, {6, 6}, {2, 100}, {8, 2},
+  };
+  BatchStaging erase;
+  stage_mutations_shard<Edge>(edges, /*undirected=*/false,
+                              /*keep_weights=*/false, 3, 0, 1, dict,
+                              /*arena=*/nullptr, erase);
+  EXPECT_EQ(erase.staged, 2u);   // (2, 5) and (2, 100)
+  EXPECT_EQ(erase.dropped, 4u);  // 3: no table; 100, 8: past capacity; loop
+  BatchStaging mirrored;
+  stage_mutations_shard<Edge>(edges, /*undirected=*/true, false, 3, 0, 1,
+                              dict, nullptr, mirrored);
+  EXPECT_EQ(mirrored.staged, 3u);   // plus (2, 8), the mirror of (8, 2)
+  EXPECT_EQ(mirrored.dropped, 8u);  // every direction from an unknown source
+  BatchStaging queries;
+  stage_queries_shard(edges, 3, 0, 1, dict, queries, /*seq_base=*/40);
+  EXPECT_EQ(queries.staged, 2u);
+  EXPECT_EQ(queries.dropped, 4u);  // 3, 6: no table; 100, 8: past capacity
+  queries.group(/*dedup=*/false, false, /*gather_seqs=*/true);
+  EXPECT_EQ(queries.seqs, (std::vector<std::uint32_t>{40, 44}));
+  EXPECT_EQ(dict.capacity(), 8u);
+  for (const VertexId u : {0u, 3u, 5u, 6u, 7u}) EXPECT_FALSE(dict.has_table(u));
 }
 
 // ---------------------------------------------------------------------------

@@ -25,20 +25,32 @@ LAYOUT = r"sg::slabhash::SlabOps<sg::slabhash::(?P<policy>Map|Set)Layout>::"
 CHUNK = (r"\(.*\)(?: const)?::\{lambda\(unsigned long, unsigned long\)#1\}"
          r"(?:::operator\(\)|>::_M_invoke)")
 
+# The mutation staging entry point, or its per-lookup-mode loop when GCC
+# keeps that out of line.
+STAGE_LOOP = (r"(?:stage_mutations_shard<|"
+              r"\(anonymous namespace\)::stage_mutations<(?:true|false), )")
+
 # (label, regex over the demangled name). A label may match several
 # symbols (template instances, a function and its out-of-line lambda):
-# their sizes add up.
+# their sizes add up. A symbol outside the DynGraph and SlabOps templates
+# is compiled once and prints under policy "-". Stage 1 and the epoch
+# driver used to be compiled inside DynGraph<Policy>, once per policy; the
+# alternations also match those older names, so a comparison across the
+# move prints a row for each side (an older build's run_epoch_pipeline
+# row adds up its insert, erase and query instances).
 HOT = [
-    ("stage_weighted_edges_shard",
-     r"^void sg::core::stage_weighted_edges_shard<.*" + POLICY),
-    ("stage_edges_shard", r"^void sg::core::stage_edges_shard<.*" + POLICY),
-    ("stage_queries_shard", r"^void sg::core::stage_queries_shard<.*" + POLICY),
-    ("run_epoch_pipeline (insert)",
-     r"^unsigned long " + POLICY + r"run_epoch_pipeline<.*insert_batched\("),
-    ("run_epoch_pipeline (erase)",
-     r"^unsigned long " + POLICY + r"run_epoch_pipeline<.*delete_batched\("),
-    ("run_epoch_pipeline (query)",
-     r"^unsigned long " + POLICY + r"run_epoch_pipeline<.*search_batched\("),
+    ("stage_mutations_shard<WeightedEdge>",
+     r"^void sg::core::(?:" + STAGE_LOOP + r"sg::core::WeightedEdge>\(|"
+     r"stage_weighted_edges_shard<.*" + POLICY + ")"),
+    ("stage_mutations_shard<Edge>",
+     r"^void sg::core::(?:" + STAGE_LOOP + r"sg::core::Edge>\(|"
+     r"stage_edges_shard<.*" + POLICY + ")"),
+    ("stage_queries_shard",
+     r"^(?:void )?sg::core::stage_queries_shard(?:\(|<.*" + POLICY + ")"),
+    ("stage_epoch", r"^sg::core::stage_epoch\("),
+    ("run_epoch_pipeline",
+     r"^(?:unsigned long " + POLICY + r"run_epoch_pipeline<|"
+     r"sg::core::run_epoch_pipeline\()"),
     ("search_batched", r"^" + POLICY + r"search_batched\(.*\) const$"),
     ("apply_mutation_runs chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
      r"apply_mutation_runs" + CHUNK),
@@ -52,6 +64,7 @@ HOT = [
     ("SlabOps::bulk_erase", r"^" + LAYOUT + r"bulk_erase\("),
     ("SlabOps::bulk_search", r"^" + LAYOUT + r"bulk_search\("),
 ]
+POLICIES = ("Map", "Set", "-")
 
 
 def archive_of(path):
@@ -80,7 +93,7 @@ def sizes(path):
         for label, pattern in HOT:
             m = re.search(pattern, name)
             if m:
-                key = (label, m.group("policy"))
+                key = (label, m.groupdict().get("policy") or "-")
                 table[key] = table.get(key, 0) + size
     return table
 
@@ -92,7 +105,7 @@ def main():
     print("| symbol | policy | A bytes | B bytes | B - A |")
     print("|---|---|---:|---:|---:|")
     for label, _ in HOT:
-        for policy in ("Map", "Set"):
+        for policy in POLICIES:
             key = (label, policy)
             if key not in a and key not in b:
                 continue
