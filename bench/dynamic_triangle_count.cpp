@@ -1,4 +1,4 @@
-#include "src/analytics/dynamic_triangle_count.hpp"
+#include "bench/dynamic_triangle_count.hpp"
 
 #include <algorithm>
 #include <span>

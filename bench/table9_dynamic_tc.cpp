@@ -15,7 +15,7 @@
 // pipeline then beats BOTH by skipping the recount entirely.
 #include "bench/bench_common.hpp"
 
-#include "src/analytics/dynamic_triangle_count.hpp"
+#include "bench/dynamic_triangle_count.hpp"
 
 namespace sg {
 namespace {

@@ -31,8 +31,8 @@
 //
 // Contract: insert-only streams, one submitting thread, undirected graph
 // (GraphConfig::undirected = true). Deletions would need the symmetric
-// decrement pass; the harness in dynamic_triangle_count.cpp only streams
-// insertions, matching the paper's Table IX setup.
+// decrement pass; the Table IX harness (bench/dynamic_triangle_count.cpp)
+// only streams insertions, matching the paper's Table IX setup.
 #pragma once
 
 #include <atomic>

@@ -3,10 +3,11 @@
 // stored timestamp is below the threshold, reading each timestamp in place.
 //
 // Defined in age_scan.cpp and instantiated there for MapPolicy, the only
-// policy with values. It stays out of dyn_graph_impl.hpp on purpose: built
-// into the DynGraph translation unit, this code changed GCC's inlining of
-// the staging and apply paths and slowed batched inserts and queries on the
-// power-law benchmark by 9-16% (docs/PERF.md).
+// policy with values. Like the stage-3 walks (batch_apply.cpp), it is a hot
+// slab walk kept out of the DynGraph unit: when it was built into that
+// unit it changed GCC's inlining of the staging and apply paths and slowed
+// batched inserts and queries on the power-law benchmark by 9-16%
+// (docs/PERF.md).
 #pragma once
 
 #include <vector>

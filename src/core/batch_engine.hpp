@@ -58,8 +58,10 @@
 // Stages 1-2 and the epoch driver (stage_mutations_shard,
 // stage_queries_shard, stage_epoch, run_epoch_pipeline) know nothing of the
 // slab format: they are plain functions compiled once in batch_engine.cpp.
-// Only stage 3 calls the Policy's bulk operations, so only it is compiled
-// inside the DynGraph<Policy> template (dyn_graph_impl.hpp).
+// Stage 3's walks (apply_mutation_runs, search_apply_runs, gather_emit)
+// call the slab format's bulk operations, so they are templates on the
+// layout, compiled once per format in batch_apply.cpp. DynGraph<Policy>
+// only drives them (dyn_graph.cpp).
 //
 // The engine owns the run partition: a (table, bucket) pair appears in at
 // most one run per epoch, which is the exclusivity contract the bulk slab
@@ -340,8 +342,7 @@ struct BatchPipelineStats {
 
 // ---------------------------------------------------------------------------
 // Stage 1 and the epoch driver. Nothing here depends on the slab format, so
-// these are plain functions compiled once in batch_engine.cpp; only stage 3
-// (DynGraph::apply_mutation_runs / search_apply_runs) calls Policy.
+// these are plain functions compiled once in batch_engine.cpp.
 // ---------------------------------------------------------------------------
 
 /// Stages one shard of a mutation batch: every direction whose source the
@@ -419,5 +420,50 @@ std::uint64_t run_epoch_pipeline(std::uint64_t num_items,
                                  BatchPipelineStats& stats,
                                  const EpochStageStep& stage,
                                  const EpochApplyStep& apply);
+
+// ---------------------------------------------------------------------------
+// Stage 3. The per-run walks call the slab format's bulk operations, so they
+// are templates on the layout (slabhash::MapLayout / SetLayout), defined and
+// instantiated for both in batch_apply.cpp. Each schedules its runs with
+// simt::launch_runs, balanced by query count (or degree), and
+// software-pipelines them: a run's dictionary entry 2*kRunPrefetchDepth
+// runs ahead, its head slab kRunPrefetchDepth runs ahead. `overlapped`
+// tightens launch chunking so the walk interleaves with a concurrent
+// staging job.
+// ---------------------------------------------------------------------------
+
+/// Applies one staged mutation epoch: bulk_insert, or bulk_erase when
+/// `erase`, once per run, with the per-source counter deltas aggregated
+/// before the atomic. An insert appends to `rehash_due` every source whose
+/// new live count exceeds `rehash_keys_per_bucket` keys per bucket (0 = no
+/// notes). Returns the keys applied. When the arena runs dry mid-run it
+/// throws a MutationAbort carrying the exact applied count and the staged
+/// pairs left unapplied.
+template <class Layout>
+std::uint64_t apply_mutation_runs(memory::SlabArena& arena,
+                                  VertexDictionary& dict,
+                                  const BatchStaging& staged, bool erase,
+                                  double rehash_keys_per_bucket,
+                                  std::vector<VertexId>& rehash_due,
+                                  bool overlapped);
+
+/// Runs the bulk searches of one staged query slice, scattering hits into
+/// the caller's output arrays through the staged sequence numbers:
+/// found_out[i] = 1 on a hit, weights_out[i] = the stored value (map
+/// layout only). Either output may be null.
+template <class Layout>
+void search_apply_runs(const memory::SlabArena& arena,
+                       const VertexDictionary& dict,
+                       const BatchStaging& staged, std::uint8_t* found_out,
+                       Weight* weights_out, bool overlapped);
+
+/// The gather's emit pass: writes the live adjacency of vertices[i] into
+/// out[offsets[i] .. offsets[i+1]), one chain walk per vertex. `offsets`
+/// holds the exact live degrees, prefix-summed (vertices.size() + 1
+/// entries); an empty slice is skipped.
+template <class Layout>
+void gather_emit(const memory::SlabArena& arena, const VertexDictionary& dict,
+                 std::span<const VertexId> vertices,
+                 std::span<const std::uint64_t> offsets, VertexId* out);
 
 }  // namespace sg::core

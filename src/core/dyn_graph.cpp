@@ -1,13 +1,15 @@
-// Method bodies of DynGraph<Policy>; included by dyn_graph_map.cpp and
-// dyn_graph_set.cpp which explicitly instantiate the two variants. The
-// maintenance members (auto-rehash, rebuild, compaction) live in
-// dyn_graph_maintenance.cpp.
-#pragma once
+// Members of DynGraph<Policy>, instantiated for both policies at the end
+// of this file. They drive the batch engine and run once per batch; the
+// per-run walks they launch are compiled per slab format in
+// batch_apply.cpp, so nothing in this unit decides how the hot paths
+// inline (docs/PERF.md "Code placement").
+#include "src/core/dyn_graph.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
+#include <exception>
+#include <new>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <unordered_set>
 #include <vector>
@@ -15,7 +17,6 @@
 #include "src/core/age_scan.hpp"
 #include "src/core/batch_engine.hpp"
 #include "src/core/batch_utils.hpp"
-#include "src/core/dyn_graph.hpp"
 #include "src/core/errors.hpp"
 #include "src/persist/journal.hpp"
 #include "src/persist/snapshot.hpp"
@@ -24,32 +25,79 @@
 
 namespace sg::core {
 
-inline std::uint64_t edge_key(VertexId src, VertexId dst);
+namespace {
 
-// --------------------------------------------------------------------------
-// EdgeSlabIterator
-// --------------------------------------------------------------------------
+/// Packs a directed pair for the unapplied-set membership tests.
+std::uint64_t edge_key(VertexId src, VertexId dst) {
+  return (static_cast<std::uint64_t>(src) << 32) | dst;
+}
 
-template <class Policy>
-bool EdgeSlabIterator<Policy>::next() {
-  if (!table_.valid()) return false;
-  if (started_) {
-    // Follow the current slab's next pointer; fall through to the next
-    // bucket when the chain ends.
-    const memory::SlabHandle nxt = simt::atomic_load(
-        arena_->resolve(current_).words[slabhash::kNextPtrWord]);
-    if (nxt != memory::kNullSlab) {
-      current_ = nxt;
-      on_base_ = false;
-      return true;
+/// Builds a PartialBatchError's unapplied list from a PipelineAbort: the
+/// raw input items of the failing epoch whose staged pair (or its mirror,
+/// when undirected) went unapplied — reported in input order and input
+/// orientation, deduplicated — followed by every raw input item of the
+/// epochs that never reached the apply stage.
+template <typename EdgeT>
+std::vector<Edge> unapplied_from_abort(std::span<const EdgeT> edges,
+                                       bool undirected,
+                                       const PipelineAbort& abort) {
+  std::unordered_set<std::uint64_t> missed;
+  missed.reserve(abort.epoch.unapplied.size());
+  for (const Edge& e : abort.epoch.unapplied) {
+    missed.insert(edge_key(e.src, e.dst));
+  }
+  std::vector<Edge> unapplied;
+  std::unordered_set<std::uint64_t> reported;
+  for (std::uint64_t i = abort.epoch_begin_item;
+       i < abort.epoch_end_item && i < edges.size(); ++i) {
+    const VertexId src = edges[i].src;
+    const VertexId dst = edges[i].dst;
+    if (src == dst) continue;  // self-loops are dropped, never staged
+    const bool hit = missed.count(edge_key(src, dst)) != 0 ||
+                     (undirected && missed.count(edge_key(dst, src)) != 0);
+    if (hit && reported.insert(edge_key(src, dst)).second) {
+      unapplied.push_back(Edge{src, dst});
     }
   }
-  if (next_bucket_ >= table_.num_buckets) return false;
-  current_ = table_.bucket_head(next_bucket_++);
-  on_base_ = true;
-  started_ = true;
-  return true;
+  for (std::uint64_t i = abort.epoch_end_item; i < edges.size(); ++i) {
+    unapplied.push_back(Edge{edges[i].src, edges[i].dst});
+  }
+  return unapplied;
 }
+
+/// Fallback unapplied list for failures carrying no per-pair detail (a
+/// staging job died): every raw input item from the first epoch that did
+/// not commit its apply stage.
+template <typename EdgeT>
+std::vector<Edge> unapplied_from_epoch(std::span<const EdgeT> edges,
+                                       const BatchPipelineStats& stats) {
+  std::uint64_t begin =
+      static_cast<std::uint64_t>(stats.epochs_applied) * stats.epoch_items;
+  if (begin > edges.size()) begin = edges.size();
+  std::vector<Edge> unapplied;
+  unapplied.reserve(edges.size() - begin);
+  for (std::uint64_t i = begin; i < edges.size(); ++i) {
+    unapplied.push_back(Edge{edges[i].src, edges[i].dst});
+  }
+  return unapplied;
+}
+
+/// Whether a batch failure without per-pair detail was arena exhaustion.
+/// Host heap exhaustion is rethrown as is: building a partial report could
+/// run out too.
+bool arena_exhausted(const std::exception_ptr& failure) {
+  try {
+    std::rethrow_exception(failure);
+  } catch (const memory::ArenaExhausted&) {
+    return true;
+  } catch (const std::bad_alloc&) {
+    throw;
+  } catch (...) {
+    return false;
+  }
+}
+
+}  // namespace
 
 // --------------------------------------------------------------------------
 // Construction & vertex-table management
@@ -118,15 +166,14 @@ void DynGraph<Policy>::ensure_journal_usable() const {
 }
 
 template <class Policy>
-void DynGraph<Policy>::journal_insert(std::span<const WeightedEdge> edges) {
+template <typename EdgeT>
+void DynGraph<Policy>::journal_append(std::span<const EdgeT> edges) {
   if (!journal_) return;
-  advance_journal_seq(journal_->append_insert(edges));
-}
-
-template <class Policy>
-void DynGraph<Policy>::journal_erase(std::span<const Edge> edges) {
-  if (!journal_) return;
-  advance_journal_seq(journal_->append_erase(edges));
+  if constexpr (std::is_same_v<EdgeT, WeightedEdge>) {
+    advance_journal_seq(journal_->append_insert(edges));
+  } else {
+    advance_journal_seq(journal_->append_erase(edges));
+  }
 }
 
 template <class Policy>
@@ -143,11 +190,7 @@ void DynGraph<Policy>::journal_committed(
     for (const EdgeT& e : edges) {
       if (!skip.contains(edge_key(e.src, e.dst))) committed.push_back(e);
     }
-    if constexpr (std::is_same_v<EdgeT, WeightedEdge>) {
-      journal_insert(committed);
-    } else {
-      journal_erase(committed);
-    }
+    journal_append(std::span<const EdgeT>(committed));
   } catch (...) {
     // Best-effort (see the declaration): the journal poisoned itself, and
     // the caller's PartialBatchError already reports the abort.
@@ -181,14 +224,7 @@ void DynGraph<Policy>::ensure_vertex(VertexId u, std::uint32_t degree_hint) {
 
 template <class Policy>
 void DynGraph<Policy>::prepare_batch(std::span<const WeightedEdge> edges) {
-  VertexId max_id = 0;
-  for (const auto& e : edges) {
-    if (e.src > max_id) max_id = e.src;
-    if (e.dst > max_id) max_id = e.dst;
-  }
-  if (max_id > kMaxVertexId) {
-    throw std::invalid_argument("edge batch contains an out-of-range vertex id");
-  }
+  const VertexId max_id = validate_batch(edges);
   if (max_id >= dict_.capacity()) dict_.grow(max_id + 1);
 }
 
@@ -200,12 +236,9 @@ void DynGraph<Policy>::insert_vertices(
   }
   if (ids.empty()) return;
   ensure_journal_usable();
-  VertexId max_id = 0;
-  for (VertexId id : ids) {
-    if (id > kMaxVertexId) {
-      throw std::invalid_argument("vertex id out of range");
-    }
-    if (id > max_id) max_id = id;
+  const VertexId max_id = max_vertex_id(ids);
+  if (max_id > kMaxVertexId) {
+    throw std::invalid_argument("vertex id out of range");
   }
   if (max_id >= dict_.capacity()) dict_.grow(max_id + 1);
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -219,11 +252,10 @@ void DynGraph<Policy>::insert_vertices(
 template <class Policy>
 void DynGraph<Policy>::bulk_build(std::span<const WeightedEdge> edges) {
   ensure_journal_usable();
-  validate_batch(edges);
   // Degrees are known a priori in the bulk-build workload: size each table
   // for its true degree and the configured load factor (§V-B1). Undirected
   // edges count toward both endpoints — no mirrored temp batch is built.
-  const VertexId max_id = edges.empty() ? 0 : max_vertex_id(edges);
+  const VertexId max_id = validate_batch(edges);
   if (max_id >= dict_.capacity()) dict_.grow(max_id + 1);
   std::vector<std::uint32_t> degrees(dict_.capacity(), 0);
   std::vector<std::uint8_t> referenced(dict_.capacity(), 0);
@@ -252,7 +284,7 @@ void DynGraph<Policy>::bulk_build(std::span<const WeightedEdge> edges) {
     }
     advance_journal_seq(journal_->append_insert_vertices(ref_ids, hints));
   }
-  insert_batched(edges);  // stages the mirror direction in place
+  mutate_batched(edges);  // stages the mirror direction in place
 }
 
 template <class Policy>
@@ -260,7 +292,7 @@ std::uint64_t DynGraph<Policy>::insert_edges(std::span<const WeightedEdge> edges
   if (edges.empty()) return 0;
   ensure_journal_usable();
   prepare_batch(edges);
-  return insert_batched(edges);
+  return mutate_batched(edges);
 }
 
 // --------------------------------------------------------------------------
@@ -270,91 +302,45 @@ std::uint64_t DynGraph<Policy>::insert_edges(std::span<const WeightedEdge> edges
 // staging overlaps the previous epoch's apply on the shared thread pool.
 // --------------------------------------------------------------------------
 
-/// Packs a directed pair for the unapplied-set membership tests below.
-inline std::uint64_t edge_key(VertexId src, VertexId dst) {
-  return (static_cast<std::uint64_t>(src) << 32) | dst;
-}
-
-/// Builds a PartialBatchError's unapplied list from a PipelineAbort: the
-/// raw input items of the failing epoch whose staged pair (or its mirror,
-/// when undirected) went unapplied — reported in input order and input
-/// orientation, deduplicated — followed by every raw input item of the
-/// epochs that never reached the apply stage.
-template <typename EdgeT>
-std::vector<Edge> unapplied_from_abort(std::span<const EdgeT> edges,
-                                       bool undirected,
-                                       const PipelineAbort& abort) {
-  std::unordered_set<std::uint64_t> missed;
-  missed.reserve(abort.epoch.unapplied.size());
-  for (const Edge& e : abort.epoch.unapplied) {
-    missed.insert(edge_key(e.src, e.dst));
-  }
-  std::vector<Edge> unapplied;
-  std::unordered_set<std::uint64_t> reported;
-  for (std::uint64_t i = abort.epoch_begin_item;
-       i < abort.epoch_end_item && i < edges.size(); ++i) {
-    const VertexId src = edges[i].src;
-    const VertexId dst = edges[i].dst;
-    if (src == dst) continue;  // self-loops are dropped, never staged
-    const bool hit = missed.count(edge_key(src, dst)) != 0 ||
-                     (undirected && missed.count(edge_key(dst, src)) != 0);
-    if (hit && reported.insert(edge_key(src, dst)).second) {
-      unapplied.push_back(Edge{src, dst});
-    }
-  }
-  for (std::uint64_t i = abort.epoch_end_item; i < edges.size(); ++i) {
-    unapplied.push_back(Edge{edges[i].src, edges[i].dst});
-  }
-  return unapplied;
-}
-
-/// Fallback unapplied list for failures carrying no per-pair detail (a
-/// staging job died): every raw input item from the first epoch that did
-/// not commit its apply stage.
-template <typename EdgeT>
-std::vector<Edge> unapplied_from_epoch(std::span<const EdgeT> edges,
-                                       const BatchPipelineStats& stats) {
-  std::uint64_t begin =
-      static_cast<std::uint64_t>(stats.epochs_applied) * stats.epoch_items;
-  if (begin > edges.size()) begin = edges.size();
-  std::vector<Edge> unapplied;
-  unapplied.reserve(edges.size() - begin);
-  for (std::uint64_t i = begin; i < edges.size(); ++i) {
-    unapplied.push_back(Edge{edges[i].src, edges[i].dst});
-  }
-  return unapplied;
-}
-
 template <class Policy>
-std::uint64_t DynGraph<Policy>::insert_batched(
-    std::span<const WeightedEdge> edges) {
+template <typename EdgeT>
+std::uint64_t DynGraph<Policy>::mutate_batched(std::span<const EdgeT> edges) {
+  constexpr bool kInsert = std::is_same_v<EdgeT, WeightedEdge>;
+  constexpr bool kWeights = kInsert && Policy::kHasValues;
+  const char* const op = kInsert ? "insert_edges" : "delete_edges";
+  // Auto-rehash threshold in live keys per bucket (inserts only; 0 = off).
+  const double rehash_keys_per_bucket =
+      kInsert ? config_.auto_rehash_chain_slabs * Policy::kSlotCapacity : 0.0;
   std::lock_guard<std::mutex> batch_lock(batch_mutex_);
   rehash_due_.clear();  // notes of an aborted batch are never acted on
-  std::uint64_t added = 0;
+  std::uint64_t applied = 0;
   try {
-    added = run_epoch_pipeline(
+    applied = run_epoch_pipeline(
         edges.size(), config_.undirected ? 2u : 1u,
         config_.pipeline_epoch_edges, config_.stage_shards, &staging_bufs_[0],
         &staging_bufs_[1], pipeline_stats_,
         [&](ShardedStaging& buf, std::uint64_t begin, std::uint64_t end,
             std::uint32_t shards) {
-          stage_epoch(buf, shards, StageKind::kMutation, Policy::kHasValues,
+          stage_epoch(buf, shards, StageKind::kMutation, kWeights,
                       [&](std::uint32_t shard, BatchStaging& st) {
                         stage_mutations_shard(
                             edges.subspan(begin, end - begin),
-                            config_.undirected, Policy::kHasValues,
-                            config_.hash_seed, shard, shards, dict_, &arena_,
+                            config_.undirected, kWeights, config_.hash_seed,
+                            shard, shards, dict_, kInsert ? &arena_ : nullptr,
                             st);
                       });
         },
         [&](const BatchStaging& front, bool overlapped) {
-          return apply_mutation_runs(front, /*erase=*/false, overlapped);
+          return apply_mutation_runs<typename Policy::Layout>(
+              arena_, dict_, front, /*erase=*/!kInsert,
+              rehash_keys_per_bucket, rehash_due_, overlapped);
         });
   } catch (PipelineAbort& abort) {
-    // Arena exhaustion mid-apply: committed epochs stay applied, counters
-    // are exact, and the caller gets the precise unapplied remainder.
-    // maybe_auto_rehash is skipped on purpose — rebuilding tables allocates,
-    // the one thing the arena just refused to do.
+    // Arena exhaustion mid-apply (inserts only: erase never allocates):
+    // committed epochs stay applied, counters are exact, and the caller
+    // gets the precise unapplied remainder. maybe_auto_rehash is skipped on
+    // purpose — rebuilding tables allocates, the one thing the arena just
+    // refused to do.
     if (config_.on_pressure) config_.on_pressure();
     std::vector<Edge> unapplied =
         unapplied_from_abort(edges, config_.undirected, abort);
@@ -363,269 +349,24 @@ std::uint64_t DynGraph<Policy>::insert_batched(
         abort.applied_before + abort.epoch.applied, std::move(unapplied),
         std::make_exception_ptr(memory::ArenaExhausted(
             "SlabArena: dynamic slab allocation failed mid-batch")),
-        "insert_edges aborted: arena exhausted");
-  } catch (const memory::ArenaExhausted&) {
-    // Exhaustion outside the bulk path (first-touch table creation during
-    // staging): only epoch granularity is known.
-    if (config_.on_pressure) config_.on_pressure();
-    std::vector<Edge> unapplied = unapplied_from_epoch(edges, pipeline_stats_);
-    journal_committed(edges, unapplied);
-    throw PartialBatchError(pipeline_stats_.applied_total,
-                            std::move(unapplied), std::current_exception(),
-                            "insert_edges aborted: arena exhausted");
-  } catch (const std::bad_alloc&) {
-    throw;  // host heap exhausted: building a partial report could too
+        std::string(op) + " aborted: arena exhausted");
   } catch (...) {
-    // A staging job died (e.g. injected fault): committed epochs stand,
-    // everything from the first uncommitted epoch on is unapplied.
+    // No per-pair detail: the arena ran dry outside the bulk path
+    // (first-touch table creation during insert staging), or a staging job
+    // died (e.g. an injected fault). Committed epochs stand; every raw
+    // input item from the first uncommitted epoch on is unapplied.
+    const bool exhausted = arena_exhausted(std::current_exception());
+    if (exhausted && config_.on_pressure) config_.on_pressure();
     std::vector<Edge> unapplied = unapplied_from_epoch(edges, pipeline_stats_);
     journal_committed(edges, unapplied);
-    throw PartialBatchError(pipeline_stats_.applied_total,
-                            std::move(unapplied), std::current_exception(),
-                            "insert_edges aborted");
+    throw PartialBatchError(
+        pipeline_stats_.applied_total, std::move(unapplied),
+        std::current_exception(),
+        std::string(op) + (exhausted ? " aborted: arena exhausted" : " aborted"));
   }
-  journal_insert(edges);  // write-behind: committed in memory, now durable
+  journal_append(edges);  // write-behind: committed in memory, now durable
   maybe_auto_rehash();
-  return added;
-}
-
-template <class Policy>
-std::uint64_t DynGraph<Policy>::delete_batched(std::span<const Edge> edges) {
-  std::lock_guard<std::mutex> batch_lock(batch_mutex_);
-  std::uint64_t removed = 0;
-  try {
-    removed = run_epoch_pipeline(
-        edges.size(), config_.undirected ? 2u : 1u,
-        config_.pipeline_epoch_edges, config_.stage_shards, &staging_bufs_[0],
-        &staging_bufs_[1], pipeline_stats_,
-        [&](ShardedStaging& buf, std::uint64_t begin, std::uint64_t end,
-            std::uint32_t shards) {
-          stage_epoch(buf, shards, StageKind::kMutation,
-                      /*gather_values=*/false,
-                      [&](std::uint32_t shard, BatchStaging& st) {
-                        stage_mutations_shard(
-                            edges.subspan(begin, end - begin),
-                            config_.undirected, /*keep_weights=*/false,
-                            config_.hash_seed, shard, shards, dict_,
-                            /*arena=*/nullptr, st);
-                      });
-        },
-        [&](const BatchStaging& front, bool overlapped) {
-          return apply_mutation_runs(front, /*erase=*/true, overlapped);
-        });
-  } catch (const std::bad_alloc&) {
-    throw;  // host heap exhausted: building a partial report could too
-  } catch (...) {
-    // Deletion never allocates slabs, so only a dying staging job lands
-    // here; committed epochs stand, the rest is unapplied.
-    std::vector<Edge> unapplied = unapplied_from_epoch(edges, pipeline_stats_);
-    journal_committed(edges, unapplied);
-    throw PartialBatchError(pipeline_stats_.applied_total,
-                            std::move(unapplied), std::current_exception(),
-                            "delete_edges aborted");
-  }
-  journal_erase(edges);  // write-behind: committed in memory, now durable
-  return removed;
-}
-
-template <class Policy>
-std::uint64_t DynGraph<Policy>::apply_mutation_runs(const BatchStaging& staged,
-                                                    bool erase,
-                                                    bool overlapped) {
-  if (staged.runs.empty()) return 0;
-  std::atomic<std::uint64_t> total{0};
-  // Abort machinery (inserts only — erase never allocates): the first
-  // chunk whose bulk op hits arena exhaustion flips the flag; every chunk
-  // then stops applying and records its remaining staged pairs instead, so
-  // the MutationAbort thrown after the launch carries exactly the pairs
-  // that were NOT applied. Counters stay exact throughout: the bulk ops
-  // return the precise applied count even on the failing call.
-  std::atomic<bool> abort_flag{false};
-  std::mutex merge_mutex;  // guards abort_unapplied and rehash_due_
-  std::vector<Edge> abort_unapplied;
-  // Auto-rehash threshold in live keys per bucket (inserts only; 0 = off).
-  const double rehash_keys_per_bucket =
-      erase ? 0.0 : config_.auto_rehash_chain_slabs * Policy::kSlotCapacity;
-  simt::LaunchConfig launch_cfg;
-  // While a staging job shares the pool, smaller chunks let the scheduler
-  // interleave the two jobs instead of parking workers on one of them.
-  if (overlapped) launch_cfg.chunks_per_worker = 8;
-  simt::launch_runs(
-      staged.run_offsets,
-      [&](std::uint64_t first, std::uint64_t last) {
-        std::uint64_t chunk_total = 0;
-        VertexId counter_src = 0;
-        std::uint32_t counter_delta = 0;
-        bool counting = false;
-        std::vector<Edge> chunk_unapplied;
-        std::vector<VertexId> chunk_rehash;
-        // Runs are sorted by source (within a shard's range), so one atomic
-        // counter update covers every consecutive run of the same vertex.
-        // An insert's update also yields the source's new live count: past
-        // the threshold, the source is noted for rebuild.
-        const auto flush_counter = [&] {
-          if (counting && counter_delta != 0) {
-            if (erase) {
-              simt::atomic_sub(dict_.edge_count_word(counter_src),
-                               counter_delta);
-            } else {
-              const std::uint32_t live =
-                  simt::atomic_add(dict_.edge_count_word(counter_src),
-                                   counter_delta) +
-                  counter_delta;
-              if (rehash_keys_per_bucket > 0.0 &&
-                  static_cast<double>(live) >
-                      rehash_keys_per_bucket *
-                          dict_.table(counter_src).num_buckets) {
-                chunk_rehash.push_back(counter_src);
-              }
-            }
-            chunk_total += counter_delta;
-          }
-          counter_delta = 0;
-        };
-        simt::pipeline(
-            last - first, kRunPrefetchDepth,
-            [&](std::uint64_t i) {
-              dict_.prefetch(staged.runs[first + i].src);
-            },
-            [&](std::uint64_t i) {
-              const QueryRun& run = staged.runs[first + i];
-              simt::prefetch_slab(&arena_.resolve(
-                  dict_.table(run.src).bucket_head(run.bucket)));
-            },
-            [&](std::uint64_t i) {
-              const QueryRun& run = staged.runs[first + i];
-              const std::uint64_t begin = staged.run_offsets[first + i];
-              const std::uint64_t end = staged.run_offsets[first + i + 1];
-              if (abort_flag.load(std::memory_order_relaxed)) {
-                // A peer chunk aborted: record this run untouched.
-                for (std::uint64_t k = begin; k < end; ++k) {
-                  chunk_unapplied.push_back(Edge{run.src, staged.keys[k]});
-                }
-                return;
-              }
-              if (!counting || run.src != counter_src) {
-                flush_counter();
-                counter_src = run.src;
-                counting = true;
-              }
-              const auto count = static_cast<std::uint32_t>(end - begin);
-              const slabhash::TableRef table = dict_.table(run.src);
-              if (erase) {
-                counter_delta += Policy::bulk_erase(
-                    arena_, table, run.bucket, staged.keys.data() + begin,
-                    count);
-              } else {
-                slabhash::BulkStatus status;
-                counter_delta += Policy::bulk_insert(
-                    arena_, table, run.bucket, staged.keys.data() + begin,
-                    staged.values.empty() ? nullptr
-                                          : staged.values.data() + begin,
-                    count, run.src, &status);
-                if (!status.ok) {
-                  // Arena ran dry mid-run. The failure is not a prefix of
-                  // the run (see BulkStatus): the failing wave's
-                  // still-pending lanes plus every later key went
-                  // unapplied.
-                  for (std::uint32_t m = status.fail_pending; m; m &= m - 1) {
-                    const std::uint64_t k =
-                        begin + status.fail_base +
-                        static_cast<std::uint32_t>(std::countr_zero(m));
-                    chunk_unapplied.push_back(Edge{run.src, staged.keys[k]});
-                  }
-                  for (std::uint64_t k = begin + status.fail_base +
-                                         simt::kWarpSize;
-                       k < end; ++k) {
-                    chunk_unapplied.push_back(Edge{run.src, staged.keys[k]});
-                  }
-                  abort_flag.store(true, std::memory_order_relaxed);
-                }
-              }
-            });
-        flush_counter();
-        if (chunk_total != 0) {
-          total.fetch_add(chunk_total, std::memory_order_relaxed);
-        }
-        if (!chunk_unapplied.empty() || !chunk_rehash.empty()) {
-          std::lock_guard<std::mutex> lock(merge_mutex);
-          abort_unapplied.insert(abort_unapplied.end(),
-                                 chunk_unapplied.begin(),
-                                 chunk_unapplied.end());
-          rehash_due_.insert(rehash_due_.end(), chunk_rehash.begin(),
-                             chunk_rehash.end());
-        }
-      },
-      launch_cfg);
-  if (abort_flag.load(std::memory_order_relaxed)) {
-    MutationAbort abort;
-    abort.applied = total.load(std::memory_order_relaxed);
-    abort.unapplied = std::move(abort_unapplied);
-    throw abort;
-  }
-  return total.load(std::memory_order_relaxed);
-}
-
-template <class Policy>
-void DynGraph<Policy>::search_apply_runs(const BatchStaging& staged,
-                                         std::uint8_t* found_out,
-                                         Weight* weights_out,
-                                         bool overlapped) const {
-  if (staged.runs.empty()) return;
-  simt::LaunchConfig launch_cfg;
-  // While a staging job shares the pool, smaller chunks let the scheduler
-  // interleave the two jobs instead of parking workers on one of them.
-  if (overlapped) launch_cfg.chunks_per_worker = 8;
-  // Slice-local scratch; chunks write disjoint [run_offsets[first],
-  // run_offsets[last]) ranges, so the shared vectors need no locks.
-  std::vector<std::uint8_t> found(staged.keys.size());
-  std::vector<std::uint32_t> values;
-  if (weights_out != nullptr) values.resize(staged.keys.size());
-  simt::launch_runs(
-      staged.run_offsets,
-      [&](std::uint64_t first, std::uint64_t last) {
-        simt::pipeline(
-            last - first, kRunPrefetchDepth,
-            [&](std::uint64_t i) {
-              dict_.prefetch(staged.runs[first + i].src);
-            },
-            [&](std::uint64_t i) {
-              const QueryRun& run = staged.runs[first + i];
-              simt::prefetch_slab(&arena_.resolve(
-                  dict_.table(run.src).bucket_head(run.bucket)));
-            },
-            [&](std::uint64_t i) {
-              const QueryRun& run = staged.runs[first + i];
-              const std::uint64_t begin = staged.run_offsets[first + i];
-              const std::uint64_t end = staged.run_offsets[first + i + 1];
-              const auto count = static_cast<std::uint32_t>(end - begin);
-              if constexpr (Policy::kHasValues) {
-                if (weights_out != nullptr) {
-                  Policy::bulk_search_values(arena_, dict_.table(run.src),
-                                             run.bucket,
-                                             staged.keys.data() + begin, count,
-                                             found.data() + begin,
-                                             values.data() + begin);
-                } else {
-                  Policy::bulk_contains(arena_, dict_.table(run.src),
-                                        run.bucket, staged.keys.data() + begin,
-                                        count, found.data() + begin);
-                }
-              } else {
-                Policy::bulk_contains(arena_, dict_.table(run.src), run.bucket,
-                                      staged.keys.data() + begin, count,
-                                      found.data() + begin);
-              }
-              for (std::uint64_t q = begin; q < end; ++q) {
-                // Scatter to the input position through the staged sequence.
-                if (found_out != nullptr) found_out[staged.seqs[q]] = found[q];
-                if (weights_out != nullptr && found[q] != 0) {
-                  weights_out[staged.seqs[q]] = values[q];
-                }
-              }
-            });
-      },
-      launch_cfg);
+  return applied;
 }
 
 template <class Policy>
@@ -661,7 +402,8 @@ void DynGraph<Policy>::search_batched(std::span<const Edge> queries,
                     });
       },
       [&](const BatchStaging& front, bool overlapped) {
-        search_apply_runs(front, found_out, weights_out, overlapped);
+        search_apply_runs<typename Policy::Layout>(
+            arena_, dict_, front, found_out, weights_out, overlapped);
         return std::uint64_t{0};
       });
   {
@@ -692,29 +434,8 @@ void DynGraph<Policy>::gather_neighbors(std::span<const VertexId> vertices,
   }
   offsets[vertices.size()] = total;
   neighbors.resize(total);
-  if (vertices.empty()) return;
-  VertexId* out = neighbors.data();
-
-  simt::launch_runs(offsets, [&](std::uint64_t first, std::uint64_t last) {
-    simt::pipeline(
-        last - first, kRunPrefetchDepth,
-        [&](std::uint64_t i) { dict_.prefetch(vertices[first + i]); },
-        [&](std::uint64_t i) {
-          const VertexId u = vertices[first + i];
-          if (u < capacity && dict_.has_table(u)) {
-            simt::prefetch_slab(
-                &arena_.resolve(dict_.table(u).bucket_head(0)));
-          }
-        },
-        [&](std::uint64_t i) {
-          const std::uint64_t slot = first + i;
-          const std::uint64_t expect = offsets[slot + 1] - offsets[slot];
-          if (expect == 0) return;  // unknown / deleted / isolated vertex
-          Policy::gather(arena_, dict_.table(vertices[slot]),
-                         out + offsets[slot],
-                         static_cast<std::uint32_t>(expect));
-        });
-  });
+  gather_emit<typename Policy::Layout>(arena_, dict_, vertices, offsets,
+                                       neighbors.data());
 }
 
 template <class Policy>
@@ -816,7 +537,7 @@ std::uint64_t DynGraph<Policy>::delete_edges(std::span<const Edge> edges) {
   if (edges.empty()) return 0;
   ensure_journal_usable();
   validate_batch(edges);
-  return delete_batched(edges);
+  return mutate_batched(edges);
 }
 
 // --------------------------------------------------------------------------
@@ -1022,6 +743,179 @@ std::future<std::uint64_t> DynGraph<Policy>::submit_maintenance(
   return ensure_scheduler().submit_maintenance(std::move(task));
 }
 
+// The §III auto-rehash policy: "maintain low-cost metrics per vertex to
+// determine the chain-length and periodically perform rehashing if it
+// exceeds a given threshold". The metric is the Alg. 1/2 edge counter
+// against the table's bucket count: apply noted every source its insert
+// pushed past auto_rehash_chain_slabs slabs per bucket, and this rebuilds
+// those tables. Runs under batch_mutex_ after the batch committed, so no
+// apply or query phase overlaps the rebuilds.
+template <class Policy>
+void DynGraph<Policy>::maybe_auto_rehash() {
+  if (rehash_due_.empty()) return;
+  // A source split across apply chunks or epochs is noted more than once;
+  // sorting also makes the rebuild (and allocation) order deterministic.
+  std::sort(rehash_due_.begin(), rehash_due_.end());
+  rehash_due_.erase(std::unique(rehash_due_.begin(), rehash_due_.end()),
+                    rehash_due_.end());
+  bool rebuilt = false;
+  try {
+    for (const VertexId u : rehash_due_) {
+      rebuilt |= maybe_rehash_table(u, config_.auto_rehash_chain_slabs);
+    }
+  } catch (const memory::ArenaExhausted&) {
+    // Opportunistic maintenance must never fail a batch that already
+    // committed: report the pressure and leave the long chains for a
+    // roomier moment. A table caught mid-move stays on its old (intact)
+    // table — only the abandoned fresh slabs are lost until then.
+    if (config_.on_pressure) config_.on_pressure();
+  }
+  if (rebuilt) ++auto_rehash_count_;
+  rehash_due_.clear();
+}
+
+template <class Policy>
+typename DynGraph<Policy>::CompactStats DynGraph<Policy>::compact() {
+  CompactStats s;
+  s.chunks_before = arena_.live_chunks();
+  // Dead keys would be migrated byte-for-byte; shed them first so shrink
+  // sizes from real occupancy and migration copies only live chains.
+  flush_all_tombstones();
+  // Table shrink. Growth rehash sizes a table for the live count it sees
+  // and nothing ever sizes it back down, so under a sliding window every
+  // table settles at its PEAK degree and total base memory ratchets up as
+  // running maxima drift. Rebuild any table whose live count warrants at
+  // most half its current buckets; post-shrink occupancy lands at
+  // load_factor, comfortably under the auto-rehash grow trigger, so the
+  // half hysteresis prevents ping-pong.
+  for (VertexId u = 0; u < dict_.capacity(); ++u) {
+    if (!dict_.has_table(u)) continue;
+    const slabhash::TableRef table = dict_.table(u);
+    if (dict_.edge_count(u) == 0) {
+      // Aging emptied this vertex entirely: drop the table instead of
+      // keeping a 1-bucket stub forever. Lazy first-touch creation
+      // rebuilds it if the vertex re-enters the window, so total base
+      // memory tracks the vertices IN the window, not every vertex the
+      // stream ever mentioned. (delete_vertices itself still keeps
+      // tables — §IV-D2 — reclamation is compact's job alone.)
+      Policy::clear(arena_, table);
+      arena_.free_contiguous(table.base, table.num_buckets);
+      dict_.set_table(u, {memory::kNullSlab, 0});
+      ++s.shrunk_tables;
+      continue;
+    }
+    if (table.num_buckets <= 1) continue;
+    const std::uint32_t target = slabhash::buckets_for(
+        dict_.edge_count(u), config_.load_factor, Policy::kSlotCapacity);
+    if (target * 2 > table.num_buckets) continue;
+    rebuild_table(u, table, target);
+    ++s.shrunk_tables;
+  }
+  arena_.drain_free_caches();
+  // Victim selection: dynamic chunks below the occupancy threshold.
+  // (flag vector indexed by chunk, consumed by allocate_avoiding so a
+  // migrated slab never lands in another victim).
+  const auto occupancy = arena_.dynamic_chunk_occupancy();
+  std::uint32_t max_index = 0;
+  for (const auto& o : occupancy) max_index = std::max(max_index, o.index);
+  std::vector<std::uint8_t> victim(max_index + 1, 0);
+  const auto threshold = static_cast<std::uint32_t>(
+      config_.compact_occupancy * memory::SlabArena::kChunkSlabs);
+  for (const auto& o : occupancy) {
+    if (o.used_slabs > 0 && o.used_slabs < threshold) {
+      victim[o.index] = 1;
+      ++s.victim_chunks;
+    }
+  }
+  if (s.victim_chunks != 0) {
+    // Walk every bucket chain; any overflow slab living in a victim chunk
+    // is copied into a non-victim chunk and the owning next pointer is
+    // rewritten. Base slabs are bulk (never dynamic), so only chain TAILS
+    // move — the table refs themselves are untouched.
+    for (VertexId u = 0; u < dict_.capacity(); ++u) {
+      if (!dict_.has_table(u)) continue;
+      const slabhash::TableRef table = dict_.table(u);
+      for (std::uint32_t b = 0; b < table.num_buckets; ++b) {
+        memory::SlabHandle prev = table.bucket_head(b);
+        for (;;) {
+          const memory::SlabHandle next = simt::atomic_load(
+              arena_.resolve(prev).words[slabhash::kNextPtrWord]);
+          if (next == memory::kNullSlab) break;
+          const std::uint32_t ci = memory::SlabArena::chunk_index_of(next);
+          if (ci < victim.size() && victim[ci] != 0) {
+            const memory::SlabHandle moved =
+                arena_.allocate_avoiding(slabhash::kEmptyKey, victim);
+            const memory::Slab& src = arena_.resolve(next);
+            memory::Slab& dst = arena_.resolve(moved);
+            for (int w = 0; w < memory::kWordsPerSlab; ++w) {
+              dst.words[w] = src.words[w];
+            }
+            simt::atomic_store(
+                arena_.resolve(prev).words[slabhash::kNextPtrWord], moved);
+            arena_.free_direct(next);
+            ++s.migrated_slabs;
+            prev = moved;
+          } else {
+            prev = next;
+          }
+        }
+      }
+    }
+  }
+  s.released_chunks =
+      arena_.release_empty_chunks(config_.compact_keep_free_chunks);
+  s.chunks_after = arena_.live_chunks();
+  last_compact_stats_ = s;
+  return s;
+}
+
+template <class Policy>
+bool DynGraph<Policy>::maybe_rehash_table(VertexId u, double slabs_per_bucket) {
+  if (u >= dict_.capacity() || !dict_.has_table(u)) return false;
+  const slabhash::TableRef old_table = dict_.table(u);
+  const std::uint32_t live = dict_.edge_count(u);
+  const double expected_chain =
+      static_cast<double>(live) /
+      (static_cast<double>(old_table.num_buckets) * Policy::kSlotCapacity);
+  if (expected_chain <= slabs_per_bucket) return false;
+  // Build a right-sized table and move the live keys over; the move also
+  // sheds tombstones. Only adjacency-list contents move — the dictionary
+  // entry is a pointer swap, as in §IV-A1.
+  rebuild_table(u, old_table, slabhash::buckets_for(
+                                  live, config_.load_factor,
+                                  Policy::kSlotCapacity));
+  return true;
+}
+
+template <class Policy>
+void DynGraph<Policy>::rebuild_table(VertexId u,
+                                     const slabhash::TableRef& old_table,
+                                     std::uint32_t buckets) {
+  slabhash::TableRef fresh{
+      arena_.allocate_contiguous(buckets, slabhash::kEmptyKey), buckets};
+  Policy::copy_live(arena_, old_table, fresh, config_.hash_seed, u);
+  Policy::clear(arena_, old_table);  // frees the old overflow chain
+  dict_.set_table(u, fresh);
+  // The old bucket array has no live references once the dictionary points
+  // at the fresh table: return the whole range for reuse. Without this,
+  // every rehash leaks one base array and sliding-window churn (aging
+  // batches -> tombstoned chains -> auto-rehash) grows bulk memory without
+  // bound — the leak micro_stream's steady_chunk_flatness gate watches.
+  arena_.free_contiguous(old_table.base, old_table.num_buckets);
+}
+
+template <class Policy>
+std::uint32_t DynGraph<Policy>::rehash_long_chains(double slabs_per_bucket) {
+  if (slabs_per_bucket <= 0.0) {
+    throw std::invalid_argument("slabs_per_bucket must be positive");
+  }
+  std::uint32_t rehashed = 0;
+  for (VertexId u = 0; u < dict_.capacity(); ++u) {
+    if (maybe_rehash_table(u, slabs_per_bucket)) ++rehashed;
+  }
+  return rehashed;
+}
+
 template <class Policy>
 GraphMemoryStats DynGraph<Policy>::memory_stats() const {
   GraphMemoryStats stats;
@@ -1037,5 +931,8 @@ GraphMemoryStats DynGraph<Policy>::memory_stats() const {
   stats.bytes = (stats.base_slabs + stats.overflow_slabs) * sizeof(memory::Slab);
   return stats;
 }
+
+template class DynGraph<MapPolicy>;
+template class DynGraph<SetPolicy>;
 
 }  // namespace sg::core

@@ -37,6 +37,7 @@
 #include "src/core/types.hpp"
 #include "src/core/vertex_dictionary.hpp"
 #include "src/memory/slab_arena.hpp"
+#include "src/simt/atomics.hpp"
 #include "src/slabhash/slab_hash.hpp"
 
 namespace sg::persist {
@@ -46,10 +47,14 @@ class Journal;  // write-ahead batch journal (src/persist/journal.hpp)
 namespace sg::core {
 
 /// Adjacency policy: concurrent-map tables (value = edge weight; Bc = 15).
-struct MapPolicy : slabhash::SlabOps<slabhash::MapLayout> {};
+struct MapPolicy : slabhash::SlabOps<slabhash::MapLayout> {
+  using Layout = slabhash::MapLayout;
+};
 
 /// Adjacency policy: concurrent-set tables (no values; Bc = 30).
-struct SetPolicy : slabhash::SlabOps<slabhash::SetLayout> {};
+struct SetPolicy : slabhash::SlabOps<slabhash::SetLayout> {
+  using Layout = slabhash::SetLayout;
+};
 
 /// Output of DynGraph::gather_neighbors: one presized buffer holding every
 /// requested vertex's live adjacency in disjoint slices, addressable by
@@ -81,7 +86,25 @@ class EdgeSlabIterator {
       : arena_(&arena), table_(table) {}
 
   /// Advances to the next slab in the table; false when exhausted.
-  bool next();
+  bool next() {
+    if (!table_.valid()) return false;
+    if (started_) {
+      // Follow the current slab's next pointer; fall through to the next
+      // bucket when the chain ends.
+      const memory::SlabHandle nxt = simt::atomic_load(
+          arena_->resolve(current_).words[slabhash::kNextPtrWord]);
+      if (nxt != memory::kNullSlab) {
+        current_ = nxt;
+        on_base_ = false;
+        return true;
+      }
+    }
+    if (next_bucket_ >= table_.num_buckets) return false;
+    current_ = table_.bucket_head(next_bucket_++);
+    on_base_ = true;
+    started_ = true;
+    return true;
+  }
 
   /// Key at slot `slot` of the current slab (kEmptyKey / kTombstoneKey
   /// sentinels included — callers filter, as Algorithm 2's lanes do).
@@ -480,14 +503,17 @@ class DynGraph {
   void prepare_batch(std::span<const WeightedEdge> edges);
   void ensure_vertex(VertexId u, std::uint32_t degree_hint);
 
-  // Batch-engine paths: stage sharded, group into per-(vertex, bucket)
-  // runs, apply through the bulk slab ops — with large batches split into
-  // double-buffered epochs whose staging overlaps the previous epoch's
-  // apply. First-touch tables are created during staging ("if the
-  // connectivity information for a vertex is not available, we construct
-  // a hash table with a single bucket").
-  std::uint64_t insert_batched(std::span<const WeightedEdge> edges);
-  std::uint64_t delete_batched(std::span<const Edge> edges);
+  /// The batched mutation driver (insert for WeightedEdge, erase for
+  /// Edge): stage sharded, group into per-(vertex, bucket) runs, apply
+  /// through the bulk slab ops (apply_mutation_runs) — with large batches
+  /// split into double-buffered epochs whose staging overlaps the previous
+  /// epoch's apply. An insert creates first-touch tables during staging
+  /// ("if the connectivity information for a vertex is not available, we
+  /// construct a hash table with a single bucket") and notes the tables it
+  /// grew past the auto-rehash threshold. A failure journals the committed
+  /// prefix and throws PartialBatchError; success journals the batch.
+  template <typename EdgeT>
+  std::uint64_t mutate_batched(std::span<const EdgeT> edges);
   /// Shared batched-search driver (edges_exist / edge_weights): the query
   /// batch splits into double-buffered epochs — stage+group of slice N+1
   /// runs as a background pool job while the bulk searches of slice N run
@@ -496,10 +522,6 @@ class DynGraph {
   /// with each other).
   void search_batched(std::span<const Edge> queries, std::uint8_t* found_out,
                       Weight* weights_out) const;
-  /// Runs the bulk searches of one staged query slice, scattering hits
-  /// into the caller's output arrays.
-  void search_apply_runs(const BatchStaging& staged, std::uint8_t* found_out,
-                         Weight* weights_out, bool overlapped) const;
   /// The §III auto-rehash policy: rebuilds every table apply noted in
   /// rehash_due_ (its live keys outgrew config_.auto_rehash_chain_slabs
   /// slabs per bucket). Called after an insert batch commits, under
@@ -512,12 +534,13 @@ class DynGraph {
   /// may have left a torn tail on disk): the in-memory graph must not
   /// advance past what recovery can rebuild. Throws persist::IoError.
   void ensure_journal_usable() const;
-  /// Appends a committed batch to the journal, advancing the cursor.
-  /// Called at the success tail of the batched mutation paths, under
-  /// batch_mutex_ (vertex ops are phase-serial and append directly; the
-  /// Journal's own mutex backstops the ordering either way).
-  void journal_insert(std::span<const WeightedEdge> edges);
-  void journal_erase(std::span<const Edge> edges);
+  /// Appends a committed batch (an insert record for WeightedEdge, an
+  /// erase record for Edge) to the journal, advancing the cursor. Called
+  /// at the success tail of mutate_batched, under batch_mutex_ (vertex ops
+  /// are phase-serial and append directly; the Journal's own mutex
+  /// backstops the ordering either way).
+  template <typename EdgeT>
+  void journal_append(std::span<const EdgeT> edges);
   /// Best-effort committed-prefix journaling on a PartialBatchError abort:
   /// the input batch minus the unapplied pairs is exactly the state the
   /// abort left (core::PartialBatchError documents this), so replaying the
@@ -527,15 +550,6 @@ class DynGraph {
   template <typename EdgeT>
   void journal_committed(std::span<const EdgeT> edges,
                          const std::vector<Edge>& unapplied) noexcept;
-  /// Shared stage-3 driver: runs scheduled by query count, head slabs
-  /// software-pipelined, per-source counter deltas aggregated before the
-  /// atomic. `erase` flips between bulk_insert/counter-add and
-  /// bulk_erase/counter-subtract. `overlapped` tightens launch chunking so
-  /// apply interleaves with a concurrent staging job. An insert notes in
-  /// rehash_due_ every source whose new live count exceeds the auto-rehash
-  /// threshold.
-  std::uint64_t apply_mutation_runs(const BatchStaging& staged, bool erase,
-                                    bool overlapped);
   /// Rebuilds `u`'s table if its expected chain exceeds the threshold.
   bool maybe_rehash_table(VertexId u, double slabs_per_bucket);
   /// Rebuilds `u`'s table at `buckets` buckets: move live keys, free the
@@ -593,7 +607,5 @@ using DynGraphSet = DynGraph<SetPolicy>;
 
 extern template class DynGraph<MapPolicy>;
 extern template class DynGraph<SetPolicy>;
-extern template class EdgeSlabIterator<MapPolicy>;
-extern template class EdgeSlabIterator<SetPolicy>;
 
 }  // namespace sg::core

@@ -7,7 +7,7 @@
 
 #include "src/analytics/bfs.hpp"
 #include "src/analytics/connected_components.hpp"
-#include "src/analytics/dynamic_triangle_count.hpp"
+#include "bench/dynamic_triangle_count.hpp"
 #include "src/analytics/triangle_count.hpp"
 #include "src/datasets/generators.hpp"
 

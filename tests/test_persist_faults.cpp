@@ -324,6 +324,81 @@ TEST(PersistFaults, FailedSnapshotPreservesPreviousSnapshot) {
   EXPECT_FALSE(restored.edge_exists(5, 6));
 }
 
+// A staging job that dies in a multi-epoch batch (kStageJob fires on its
+// second arrival: the background job staging epoch 1) aborts insert and
+// erase alike: epoch 0 stays applied and is journaled, and the
+// PartialBatchError reports every raw input item from epoch 1 on.
+template <class Policy>
+void stage_job_abort_case(bool undirected) {
+  DisarmGuard guard;
+  auto& inj = FaultInjector::instance();
+  constexpr std::size_t kEpoch = 64;
+  TempDir dir;
+  GraphConfig cfg;
+  cfg.undirected = undirected;
+  cfg.journal_path = dir.file("j");
+  cfg.pipeline_epoch_edges = kEpoch;  // four epochs per batch
+  DynGraph<Policy> g(cfg);
+  core::testutil::ReferenceGraph model(undirected);
+
+  // Globally unique pairs (and mirrors), so each epoch's outcome is exact.
+  std::vector<WeightedEdge> batch;
+  for (std::uint32_t i = 0; i < 4 * kEpoch; ++i) {
+    batch.push_back({i % 16, 100 + i, i + 1});
+  }
+  const std::vector<Edge> pairs = core::testutil::pairs_of(batch);
+  const std::vector<Edge> tail(pairs.begin() + kEpoch, pairs.end());
+  const auto expect_epoch0_split = [&](const PartialBatchError& e,
+                                       std::uint64_t epoch0_applied) {
+    EXPECT_EQ(e.applied(), epoch0_applied);
+    EXPECT_EQ(e.unapplied(), tail);
+    EXPECT_THROW(std::rethrow_exception(e.cause()), std::runtime_error);
+  };
+  const auto stage_job_dies_second = [&] {
+    FaultSpec spec;
+    spec.fire_after = 2;
+    inj.arm(FaultSite::kStageJob, spec);
+  };
+
+  stage_job_dies_second();
+  try {
+    g.insert_edges(batch);
+    ADD_FAILURE() << "insert: expected PartialBatchError";
+  } catch (const PartialBatchError& e) {
+    expect_epoch0_split(
+        e, model.insert(std::span<const WeightedEdge>(batch).first(kEpoch)));
+  }
+  inj.disarm_all();
+  core::testutil::expect_matches_model(g, model);
+
+  g.insert_edges(batch);  // the remainder commits once the fault is gone
+  model.insert(batch);
+  stage_job_dies_second();
+  try {
+    g.delete_edges(pairs);
+    ADD_FAILURE() << "erase: expected PartialBatchError";
+  } catch (const PartialBatchError& e) {
+    expect_epoch0_split(e,
+                        model.erase(std::span<const Edge>(pairs).first(kEpoch)));
+  }
+  inj.disarm_all();
+  core::testutil::expect_matches_model(g, model);
+
+  GraphConfig plain;  // replay target without a journal of its own
+  plain.undirected = undirected;
+  DynGraph<Policy> replayed(plain);
+  replay_journal(replayed, dir.file("j"));
+  expect_identical(g, replayed);
+}
+
+TEST(PersistFaults, StageJobAbortUndirectedSet) {
+  stage_job_abort_case<SetPolicy>(/*undirected=*/true);
+}
+
+TEST(PersistFaults, StageJobAbortDirectedMap) {
+  stage_job_abort_case<MapPolicy>(/*undirected=*/false);
+}
+
 #endif  // SLABGRAPH_FAULTS
 
 }  // namespace

@@ -30,14 +30,27 @@ CHUNK = (r"\(.*\)(?: const)?::\{lambda\(unsigned long, unsigned long\)#1\}"
 STAGE_LOOP = (r"(?:stage_mutations_shard<|"
               r"\(anonymous namespace\)::stage_mutations<(?:true|false), )")
 
+
+def walk(name, member=None):
+    """A stage-3 walk: the free function templated on the slab layout, or
+    the DynGraph<Policy> member (`member`, default `name`) that held it
+    before it moved out of DynGraph."""
+    return (r"sg::core::(?:" + name + r"<sg::slabhash::(?P<layout>Map|Set)"
+            r"Layout>|DynGraph<sg::core::(?P<policy>Map|Set)Policy>::" +
+            (member or name) + r")")
+
+
 # (label, regex over the demangled name). A label may match several
 # symbols (template instances, a function and its out-of-line lambda):
 # their sizes add up. A symbol outside the DynGraph and SlabOps templates
-# is compiled once and prints under policy "-". Stage 1 and the epoch
-# driver used to be compiled inside DynGraph<Policy>, once per policy; the
-# alternations also match those older names, so a comparison across the
-# move prints a row for each side (an older build's run_epoch_pipeline
-# row adds up its insert, erase and query instances).
+# and the layout-templated walks is compiled once and prints under policy
+# "-". Stage 1 and the epoch driver used to be compiled inside
+# DynGraph<Policy>, once per policy, and so did the stage-3 walks (the
+# gather emit inside gather_neighbors); the alternations also match those
+# older names, so a comparison across either move prints a row for each
+# side (an older build's run_epoch_pipeline row adds up its insert, erase
+# and query instances). tests/test_hot_symbols.py checks every label
+# against real names of both layouts.
 HOT = [
     ("stage_mutations_shard<WeightedEdge>",
      r"^void sg::core::(?:" + STAGE_LOOP + r"sg::core::WeightedEdge>\(|"
@@ -52,14 +65,20 @@ HOT = [
      r"^(?:unsigned long " + POLICY + r"run_epoch_pipeline<|"
      r"sg::core::run_epoch_pipeline\()"),
     ("search_batched", r"^" + POLICY + r"search_batched\(.*\) const$"),
-    ("apply_mutation_runs chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
-     r"apply_mutation_runs" + CHUNK),
-    ("search_apply_runs chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
-     r"search_apply_runs" + CHUNK),
+    ("apply_mutation_runs",
+     r"^(?:unsigned long )?" + walk("apply_mutation_runs") +
+     r"\([^{]*\)$"),
+    ("apply_mutation_runs chunk", r"^(?:std::_Function_handler<.*)?" +
+     walk("apply_mutation_runs") + CHUNK),
+    ("search_apply_runs",
+     r"^(?:void )?" + walk("search_apply_runs") + r"\([^{]*\)(?: const)?$"),
+    ("search_apply_runs chunk", r"^(?:std::_Function_handler<.*)?" +
+     walk("search_apply_runs") + CHUNK),
     ("gather_neighbors", r"^" + POLICY +
      r"gather_neighbors\(std::span<unsigned int const, \d+ul>, std::vector"),
-    ("gather_neighbors chunk", r"^(?:std::_Function_handler<.*)?" + POLICY +
-     r"gather_neighbors" + CHUNK),
+    ("gather_emit", r"^void " + walk("gather_emit") + r"\([^{]*\)$"),
+    ("gather_emit chunk", r"^(?:std::_Function_handler<.*)?" +
+     walk("gather_emit", "gather_neighbors") + CHUNK),
     ("SlabOps::bulk_insert", r"^" + LAYOUT + r"bulk_insert\("),
     ("SlabOps::bulk_erase", r"^" + LAYOUT + r"bulk_erase\("),
     ("SlabOps::bulk_search", r"^" + LAYOUT + r"bulk_search\("),
@@ -76,6 +95,17 @@ def archive_of(path):
     return found[0]
 
 
+def classify(name):
+    """(label, policy) of every HOT label matching one demangled name."""
+    hits = []
+    for label, pattern in HOT:
+        m = re.search(pattern, name)
+        if m:
+            policy = next((v for v in m.groupdict().values() if v), "-")
+            hits.append((label, policy))
+    return hits
+
+
 def sizes(path):
     """{(label, policy): bytes} of the hot symbols in one build."""
     out = subprocess.run(["nm", "-S", "-C", "--defined-only", archive_of(path)],
@@ -90,11 +120,8 @@ def sizes(path):
         if name in seen:
             continue
         seen.add(name)
-        for label, pattern in HOT:
-            m = re.search(pattern, name)
-            if m:
-                key = (label, m.groupdict().get("policy") or "-")
-                table[key] = table.get(key, 0) + size
+        for key in classify(name):
+            table[key] = table.get(key, 0) + size
     return table
 
 
